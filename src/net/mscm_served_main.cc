@@ -10,6 +10,10 @@
 //               [--workers N] [--max-inflight N] [--probe-interval-ms N]
 //               [--no-refresh] [--no-adaptation] [--quiet]
 //
+// Requests are priced on the --io-threads epoll loops that read them;
+// --workers sizes only the background pool (model re-derivations and the
+// fan-out of large batches).
+//
 // With --port 0 (the default) an ephemeral port is chosen and announced on
 // stdout as "mscm_served listening on ADDR:PORT" — scripted harnesses
 // (tests/net_smoke.sh) parse that line.

@@ -115,7 +115,7 @@ bool ServedRuntime::Start(std::string* error) {
     adaptation_ = std::make_unique<runtime::AdaptationController>(
         service_.get(), daemon_.get(), adaptation_config);
     // Record() is the zero-shared-RMW fast path; safe to call from any
-    // server worker. The controller drains on its own background thread.
+    // server IO loop. The controller drains on its own background thread.
     runtime::AdaptationController* controller = adaptation_.get();
     server_config.feedback_handler =
         [controller](const runtime::FeedbackReport& report) {
@@ -135,7 +135,7 @@ void ServedRuntime::Shutdown() {
   // ~ServedRuntime destroys members in reverse declaration order, which
   // keeps the ThreadPool (inside the service) joining last.
   if (server_ != nullptr) server_->Stop();
-  // After the server drains, no worker can call Record(); the controller's
+  // After the server stops, no IO loop can call Record(); the controller's
   // final drain may still escalate into the daemon, so it stops first.
   if (adaptation_ != nullptr) adaptation_->Stop();
   daemon_.reset();

@@ -7,10 +7,11 @@
 // The reason this class exists is the teardown *ordering*, which is easy to
 // get wrong and deadlocks or drops work when you do:
 //
-//   1. server.Stop()        — stop admitting, drain dispatched requests,
-//                             flush responses. After this no task will ever
-//                             touch the pool or the service again — and no
-//                             worker can feed the adaptation controller.
+//   1. server.Stop()        — stop reading, flush responses, join the IO
+//                             loops. Requests are priced on the loops, so
+//                             after this nothing touches the service for a
+//                             client again — and no loop can feed the
+//                             adaptation controller.
 //   2. adaptation stop      — the controller joins its drain thread after a
 //                             final drain; that drain may still escalate
 //                             into the refresh daemon, so it precedes 3.
@@ -21,9 +22,10 @@
 //   5. service destruction  — the ThreadPool joins last, when nothing can
 //                             submit to it anymore.
 //
-// Violating 1→2 lets a drained server's worker task race a dying daemon;
-// violating 2→4 lets a refresh task run on a joined pool. Shutdown() is
-// idempotent and safe to call from a signal-handling main loop.
+// Violating 1→2 lets a live IO loop's feedback race a dying controller and
+// daemon; violating 2→4 lets a refresh task run on a joined pool.
+// Shutdown() is idempotent and safe to call from a signal-handling main
+// loop.
 
 #ifndef MSCM_NET_SERVED_RUNTIME_H_
 #define MSCM_NET_SERVED_RUNTIME_H_
@@ -46,8 +48,9 @@ struct ServedRuntimeConfig {
   // the unary-scan and no-index-join classes with a fitted 4-state model.
   size_t sites = 4;
   uint64_t seed = 1;
-  // EstimationService worker pool (shared by batch fan-out, refresh tasks,
-  // and the server's request dispatch). < 0 = one per hardware thread.
+  // EstimationService background pool: re-derivation tasks and the
+  // fan-out of large in-process batches. Wire requests never queue on it;
+  // the server prices them on its IO loops. < 0 = one per hardware thread.
   int worker_threads = 2;
   // Background probing cadence (zero disables the probers).
   std::chrono::nanoseconds probe_interval = std::chrono::milliseconds(50);

@@ -8,8 +8,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include "common/str_util.h"
 #include "net/stats_codec.h"
@@ -52,36 +54,44 @@ void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
 }
 }  // namespace
 
+// Every field is the owning loop's: it reads, answers and writes the
+// connection on its own thread. Stop() touches what is left after the join.
 struct EstimateServer::Connection {
-  explicit Connection(uint32_t max_payload) : assembler(max_payload) {}
+  Connection(int fd_in, uint32_t max_payload)
+      : fd(fd_in), assembler(max_payload) {}
 
-  int fd = -1;
-  size_t loop_index = 0;
+  size_t pending() const { return write_buf.size() - write_pos; }
 
-  // Read side — touched only by the owning IO loop.
+  const int fd;
   FrameAssembler assembler;
-  bool reading = true;           // EPOLLIN armed
-  bool write_armed = false;      // EPOLLOUT armed
-  bool close_after_flush = false;
-
-  // Write side — workers append under the mutex, the loop flushes under it.
-  std::mutex write_mutex;
   std::vector<uint8_t> write_buf;
   size_t write_pos = 0;
-
-  std::atomic<bool> closed{false};
-  std::atomic<bool> want_write{false};
-  std::atomic<bool> kill{false};  // loop closes it at the next wake
+  bool reading = true;       // EPOLLIN armed
+  bool write_armed = false;  // EPOLLOUT armed: the last write came up short
+  bool close_after_flush = false;
+  bool closed = false;
 };
 
 struct EstimateServer::Loop {
-  int epoll_fd = -1;
-  int wake_fd = -1;
-  std::thread thread;
-  bool reads_disabled = false;  // draining applied (loop thread)
+  // One frame read in this wake, answered after every ready socket was read.
+  struct Gathered {
+    Connection* conn;
+    Frame frame;
+    WireError refusal;  // kNone = admitted for pricing
+  };
 
+  int epoll_fd = -1;
+  int wake_fd = -1;  // Stop()'s wake; nothing else writes it
+  std::thread thread;
+
+  // Loop 0's acceptor inserts; the owning loop erases when it closes one.
   std::mutex conns_mutex;
-  std::map<int, std::shared_ptr<Connection>> conns;
+  std::map<int, std::unique_ptr<Connection>> conns;
+
+  // Per-wake state, loop thread only.
+  std::vector<Gathered> gathered;
+  std::vector<Connection*> unflushed;  // gained bytes since the last flush
+  std::vector<std::unique_ptr<Connection>> closed;  // freed at the wake's end
 };
 
 // ---- Stats ------------------------------------------------------------------
@@ -217,22 +227,24 @@ bool EstimateServer::Start(std::string* error) {
       loops_.push_back(std::move(loop));
       return fail("eventfd");
     }
+    // epoll tags: a connection's is its Connection*, these two are the
+    // addresses of their fds.
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = loop->wake_fd;
+    ev.data.ptr = &loop->wake_fd;
     ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev);
     loops_.push_back(std::move(loop));
   }
 
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
+  ev.data.ptr = &listen_fd_;
   if (::epoll_ctl(loops_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
     return fail("epoll_ctl(listener)");
   }
 
-  for (size_t i = 0; i < loops_.size(); ++i) {
-    loops_[i]->thread = std::thread([this, i] { LoopThread(i); });
+  for (auto& loop : loops_) {
+    loop->thread = std::thread([this, l = loop.get()] { LoopThread(*l); });
   }
   started_.store(true);
   return true;
@@ -242,47 +254,24 @@ void EstimateServer::Stop() {
   std::lock_guard<std::mutex> stop_lock(stop_mutex_);
   if (!started_.load() || stopped_.load()) return;
 
-  // Phase 1: stop admitting. Accepts are refused, loops disable EPOLLIN on
-  // every connection, so no new frame can decode. Frames already decoded
-  // were answered or dispatched synchronously at decode time.
+  // Each loop sees draining at its next wake: it stops reading (what it
+  // gathered was answered in the wake that read it), flushes within
+  // flush_timeout and exits. Nothing is priced off the loops, so once they
+  // are joined no request is left in flight.
   draining_.store(true);
-  for (auto& loop : loops_) WakeLoop(*loop);
-
-  // Phase 2: drain — every dispatched request must complete. Tasks are
-  // finite service computations on a live pool, so this terminates.
-  {
-    std::unique_lock<std::mutex> lock(drain_mutex_);
-    drain_cv_.wait(lock, [this] {
-      return inflight_.load(std::memory_order_seq_cst) == 0;
-    });
-  }
-
-  // Phase 3: flush queued responses to their peers (bounded: a peer that
-  // stopped reading forfeits its tail).
-  const auto deadline =
-      std::chrono::steady_clock::now() + config_.flush_timeout;
-  while (std::chrono::steady_clock::now() < deadline && !AllWritesFlushed()) {
-    for (auto& loop : loops_) WakeLoop(*loop);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-
-  // Phase 4: stop the loops and close everything.
-  stopping_.store(true);
-  for (auto& loop : loops_) WakeLoop(*loop);
   for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n =
+        ::write(loop->wake_fd, &one, sizeof(one));
   }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  for (auto& loop : loops_) loop->thread.join();
+
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (auto& loop : loops_) {
-    std::lock_guard<std::mutex> lock(loop->conns_mutex);
     for (auto& [fd, conn] : loop->conns) {
-      if (!conn->closed.exchange(true)) {
-        ::close(fd);
-        Bump(counters_->connections_closed);
-      }
+      ::close(fd);
+      Bump(counters_->connections_closed);
     }
     loop->conns.clear();
     ::close(loop->epoll_fd);
@@ -293,67 +282,64 @@ void EstimateServer::Stop() {
 
 // ---- Event loop -------------------------------------------------------------
 
-void EstimateServer::WakeLoop(Loop& loop) {
-  const uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n =
-      ::write(loop.wake_fd, &one, sizeof(one));
-}
-
-void EstimateServer::LoopThread(size_t index) {
-  Loop& loop = *loops_[index];
+void EstimateServer::LoopThread(Loop& loop) {
   epoll_event events[64];
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(loop.epoll_fd, events, 64, 100);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (draining_.load(std::memory_order_acquire) && !loop.reads_disabled) {
-      // Disable reads everywhere: the admission gate slams shut once.
-      loop.reads_disabled = true;
-      std::vector<std::shared_ptr<Connection>> conns;
-      {
-        std::lock_guard<std::mutex> lock(loop.conns_mutex);
-        for (auto& [fd, conn] : loop.conns) conns.push_back(conn);
-      }
-      for (auto& conn : conns) {
-        conn->reading = false;
-        epoll_event ev{};
-        ev.events = conn->write_armed ? EPOLLOUT : 0;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-      }
-    }
+  while (!draining_.load(std::memory_order_acquire)) {
+    const int n = ::epoll_wait(loop.epoll_fd, events, 64, -1);
+    if (n < 0 && errno != EINTR) break;
+
+    // Gather: one chunk from each ready socket.
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == loop.wake_fd) {
-        uint64_t drained;
-        while (::read(loop.wake_fd, &drained, sizeof(drained)) > 0) {
-        }
-        ApplyWriteInterest(loop);
-        continue;
-      }
-      if (fd == listen_fd_ && index == 0) {
+      void* const tag = events[i].data.ptr;
+      if (tag == &loop.wake_fd) continue;  // draining_ ends the loop
+      if (tag == &listen_fd_) {
         AcceptReady();
         continue;
       }
-      std::shared_ptr<Connection> conn;
-      {
-        std::lock_guard<std::mutex> lock(loop.conns_mutex);
-        auto it = loop.conns.find(fd);
-        if (it != loop.conns.end()) conn = it->second;
-      }
-      if (conn == nullptr) continue;
+      Connection& conn = *static_cast<Connection*>(tag);
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
         CloseConnection(loop, conn);
         continue;
       }
-      if ((events[i].events & EPOLLIN) != 0 && conn->reading) {
-        OnReadable(loop, conn);
+      if ((events[i].events & EPOLLIN) != 0 && conn.reading) {
+        ReadChunk(loop, conn);
       }
-      if (conn->closed.load(std::memory_order_relaxed)) continue;
-      if ((events[i].events & EPOLLOUT) != 0) OnWritable(loop, conn);
+      if ((events[i].events & EPOLLOUT) != 0) Flush(loop, conn);
     }
+
+    // Answer in arrival order, then write what the answers queued. The
+    // admitted frames leave the in-flight count once their answers are out.
+    size_t admitted = 0;
+    for (Loop::Gathered& g : loop.gathered) {
+      Answer(loop, *g.conn, g.frame, g.refusal);
+      if (g.refusal == WireError::kNone) ++admitted;
+    }
+    loop.gathered.clear();
+    for (Connection* conn : loop.unflushed) Flush(loop, *conn);
+    loop.unflushed.clear();
+    loop.closed.clear();
+    if (admitted > 0) inflight_.fetch_sub(admitted, std::memory_order_relaxed);
+  }
+  DrainLoop(loop);
+}
+
+void EstimateServer::DrainLoop(Loop& loop) {
+  std::vector<Connection*> conns;
+  {
+    std::lock_guard<std::mutex> lock(loop.conns_mutex);
+    for (auto& [fd, conn] : loop.conns) conns.push_back(conn.get());
+  }
+  // A peer that stopped reading forfeits its tail at the deadline; Stop()
+  // closes what is left. Connections closed here stay alive in loop.closed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + config_.flush_timeout;
+  for (;;) {
+    bool pending = false;
+    for (Connection* conn : conns) {
+      if (Flush(loop, *conn) && conn->pending() > 0) pending = true;
+    }
+    if (!pending || std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 
@@ -375,208 +361,151 @@ void EstimateServer::AcceptReady() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    auto conn = std::make_shared<Connection>(config_.max_frame_payload);
-    conn->fd = fd;
-    const size_t target =
-        next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    conn->loop_index = target;
-    Loop& loop = *loops_[target];
+    Loop& loop = *loops_[next_loop_++ % loops_.size()];
+    auto owned = std::make_unique<Connection>(fd, config_.max_frame_payload);
+    Connection* conn = owned.get();
     {
       std::lock_guard<std::mutex> lock(loop.conns_mutex);
-      loop.conns[fd] = conn;
+      loop.conns[fd] = std::move(owned);
     }
     num_connections_.fetch_add(1, std::memory_order_relaxed);
     Bump(counters_->connections_accepted);
+    // The owning loop first sees the connection through this registration.
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
+    ev.data.ptr = conn;
     if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      CloseConnection(loop, conn);
+      // Never registered, so no loop will serve it: hang up on the peer
+      // and leave the record for Stop() to close.
+      ::shutdown(fd, SHUT_RDWR);
     }
   }
 }
 
-void EstimateServer::OnReadable(Loop& loop,
-                                const std::shared_ptr<Connection>& conn) {
+void EstimateServer::ReadChunk(Loop& loop, Connection& conn) {
   uint8_t buf[65536];
-  for (;;) {
-    const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
-    if (n > 0) {
-      Bump(counters_->bytes_received, static_cast<uint64_t>(n));
-      if (!conn->assembler.Feed(buf, static_cast<size_t>(n))) {
-        // Stream poisoned: one typed error, flush it, close. Reading stops
-        // now so a garbage firehose cannot keep the connection busy.
-        Bump(counters_->malformed_frames);
-        QueueError(conn, 0, conn->assembler.error(), "unframeable bytes");
-        conn->reading = false;
-        conn->close_after_flush = true;
-        epoll_event ev{};
-        ev.events = conn->write_armed ? EPOLLOUT : 0;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-        return;
-      }
-      while (auto frame = conn->assembler.Next()) {
-        HandleFrame(loop, conn, std::move(*frame));
-        if (conn->closed.load(std::memory_order_relaxed)) return;
-      }
-      if (conn->assembler.buffered_bytes() > config_.max_read_buffer) {
-        Bump(counters_->read_limit_closes);
-        CloseConnection(loop, conn);
-        return;
-      }
-      continue;
-    }
-    if (n == 0) {
-      CloseConnection(loop, conn);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    if (errno == EINTR) continue;
+  ssize_t n;
+  do {
+    n = ::read(conn.fd, buf, sizeof(buf));
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n <= 0) {
     CloseConnection(loop, conn);
     return;
   }
-}
-
-void EstimateServer::OnWritable(Loop& loop,
-                                const std::shared_ptr<Connection>& conn) {
-  bool empty = false;
-  bool broken = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    while (conn->write_pos < conn->write_buf.size()) {
-      const ssize_t n =
-          ::write(conn->fd, conn->write_buf.data() + conn->write_pos,
-                  conn->write_buf.size() - conn->write_pos);
-      if (n > 0) {
-        Bump(counters_->bytes_sent, static_cast<uint64_t>(n));
-        conn->write_pos += static_cast<size_t>(n);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      if (errno != EAGAIN && errno != EWOULDBLOCK) broken = true;
-      break;
-    }
-    if (conn->write_pos == conn->write_buf.size()) {
-      conn->write_buf.clear();
-      conn->write_pos = 0;
-      conn->want_write.store(false, std::memory_order_release);
-      empty = true;
-    }
-  }
-  if (broken) {
-    CloseConnection(loop, conn);
+  Bump(counters_->bytes_received, static_cast<uint64_t>(n));
+  if (!conn.assembler.Feed(buf, static_cast<size_t>(n))) {
+    // Stream poisoned: one typed error, flush it, close. Reading stops now
+    // so a garbage firehose cannot keep the connection busy.
+    Bump(counters_->malformed_frames);
+    QueueError(loop, conn, 0, conn.assembler.error(), "unframeable bytes");
+    conn.reading = false;
+    conn.close_after_flush = true;
+    SetInterest(loop, conn);
     return;
   }
-  if (empty) {
-    epoll_event ev{};
-    ev.events = conn->reading ? EPOLLIN : 0;
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->write_armed = false;
-    if (conn->close_after_flush) CloseConnection(loop, conn);
+  while (auto frame = conn.assembler.Next()) {
+    Bump(counters_->frames_received);
+    const WireError refusal = Admit(frame->type);
+    loop.gathered.push_back({&conn, std::move(*frame), refusal});
+  }
+  if (conn.assembler.buffered_bytes() > config_.max_read_buffer) {
+    Bump(counters_->read_limit_closes);
+    CloseConnection(loop, conn);
   }
 }
 
-void EstimateServer::ApplyWriteInterest(Loop& loop) {
-  std::vector<std::shared_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(loop.conns_mutex);
-    for (auto& [fd, conn] : loop.conns) conns.push_back(conn);
-  }
-  for (auto& conn : conns) {
-    if (conn->kill.load(std::memory_order_acquire)) {
-      CloseConnection(loop, conn);
-      continue;
-    }
-    if (conn->want_write.load(std::memory_order_acquire) &&
-        !conn->write_armed) {
-      epoll_event ev{};
-      ev.events = static_cast<uint32_t>(conn->reading ? EPOLLIN : 0) |
-                  EPOLLOUT;
-      ev.data.fd = conn->fd;
-      if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev) == 0) {
-        conn->write_armed = true;
-      }
-    }
-  }
+void EstimateServer::SetInterest(Loop& loop, Connection& conn) {
+  epoll_event ev{};
+  if (conn.reading) ev.events |= EPOLLIN;
+  if (conn.write_armed) ev.events |= EPOLLOUT;
+  ev.data.ptr = &conn;
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
-void EstimateServer::CloseConnection(Loop& loop,
-                                     const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true)) return;
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
+void EstimateServer::CloseConnection(Loop& loop, Connection& conn) {
+  if (conn.closed) return;
+  conn.closed = true;
+  // Out of the map before the fd is released, so an accept that reuses the
+  // number cannot collide with this entry; frames of this wake may still
+  // point at the object, so it lives until the wake ends.
   {
     std::lock_guard<std::mutex> lock(loop.conns_mutex);
-    loop.conns.erase(conn->fd);
+    auto it = loop.conns.find(conn.fd);
+    loop.closed.push_back(std::move(it->second));
+    loop.conns.erase(it);
   }
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
   num_connections_.fetch_sub(1, std::memory_order_relaxed);
   Bump(counters_->connections_closed);
 }
 
 // ---- Frame handling ---------------------------------------------------------
 
-void EstimateServer::HandleFrame(Loop& loop,
-                                 const std::shared_ptr<Connection>& conn,
-                                 Frame frame) {
-  (void)loop;
-  Bump(counters_->frames_received);
-  const uint32_t id = frame.request_id;
-  if (draining_.load(std::memory_order_acquire)) {
+WireError EstimateServer::Admit(uint8_t type) {
+  if (draining_.load(std::memory_order_relaxed)) {
     Bump(counters_->shutdown_shed);
-    QueueError(conn, id, WireError::kShuttingDown, "server draining");
-    return;
+    return WireError::kShuttingDown;
   }
-  if (!IsKnownMessageType(frame.type)) {
+  if (!IsKnownMessageType(type)) {
     Bump(counters_->unknown_type_frames);
-    QueueError(conn, id, WireError::kUnknownType,
-               Format("unknown message type %u", frame.type));
-    return;
+    return WireError::kUnknownType;
   }
-  const MessageType type = static_cast<MessageType>(frame.type);
-  if (type != MessageType::kEstimateRequest &&
-      type != MessageType::kEstimateBatchRequest &&
-      type != MessageType::kPlacementRequest &&
-      type != MessageType::kStatsRequest &&
-      type != MessageType::kReportActual) {
-    Bump(counters_->invalid_requests);
-    QueueError(conn, id, WireError::kInvalidRequest,
-               std::string(ToString(type)) + " is not a request");
-    return;
+  switch (static_cast<MessageType>(type)) {
+    case MessageType::kEstimateRequest:
+    case MessageType::kEstimateBatchRequest:
+    case MessageType::kPlacementRequest:
+    case MessageType::kStatsRequest:
+    case MessageType::kReportActual:
+      break;
+    default:
+      Bump(counters_->invalid_requests);
+      return WireError::kInvalidRequest;
   }
   // Admission control: shed rather than queue without bound.
-  const size_t in_flight =
-      inflight_.fetch_add(1, std::memory_order_seq_cst);
-  if (in_flight >= config_.max_inflight) {
-    FinishInflightOnly();
+  if (inflight_.fetch_add(1, std::memory_order_relaxed) >=
+      config_.max_inflight) {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
     Bump(counters_->overload_shed);
-    QueueError(conn, id, WireError::kOverloaded, "server overloaded");
-    return;
+    return WireError::kOverloaded;
   }
   Bump(counters_->requests_dispatched);
-  auto shared_frame = std::make_shared<Frame>(std::move(frame));
-  service_->worker_pool().Submit([this, conn, shared_frame] {
-    ServeFrame(conn, *shared_frame);
-    FinishRequest(conn);
-  });
+  return WireError::kNone;
 }
 
-// Undo an admission increment that never became a dispatch.
-void EstimateServer::FinishInflightOnly() {
-  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    std::lock_guard<std::mutex> lock(drain_mutex_);
-    drain_cv_.notify_all();
+void EstimateServer::Answer(Loop& loop, Connection& conn, const Frame& frame,
+                            WireError refusal) {
+  const uint32_t id = frame.request_id;
+  switch (refusal) {
+    case WireError::kNone:
+      // Nothing is priced for a peer that went away earlier in this wake.
+      if (conn.closed) {
+        Bump(counters_->dropped_responses);
+      } else {
+        ServeFrame(loop, conn, frame);
+      }
+      Bump(counters_->requests_completed);
+      return;
+    case WireError::kShuttingDown:
+      QueueError(loop, conn, id, refusal, "server draining");
+      return;
+    case WireError::kUnknownType:
+      QueueError(loop, conn, id, refusal,
+                 Format("unknown message type %u", frame.type));
+      return;
+    case WireError::kInvalidRequest:
+      QueueError(loop, conn, id, refusal,
+                 std::string(ToString(static_cast<MessageType>(frame.type))) +
+                     " is not a request");
+      return;
+    default:
+      QueueError(loop, conn, id, WireError::kOverloaded, "server overloaded");
+      return;
   }
 }
 
-void EstimateServer::FinishRequest(const std::shared_ptr<Connection>& conn) {
-  (void)conn;
-  Bump(counters_->requests_completed);
-  FinishInflightOnly();
-}
-
-void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
+void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
                                 const Frame& frame) {
   const uint32_t id = frame.request_id;
   const MessageType type = static_cast<MessageType>(frame.type);
@@ -587,13 +516,13 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
         auto request = DecodeEstimateRequestPayload(frame.payload, &err);
         if (!request.has_value()) {
           CountBoundaryReject(err);
-          QueueError(conn, id, err, "bad EstimateRequest");
+          QueueError(loop, conn, id, err, "bad EstimateRequest");
           return;
         }
         const runtime::EstimateResponse response =
             service_->Estimate(*request);
         Bump(counters_->estimates);
-        QueueResponse(conn,
+        QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kEstimateResponse, id,
                                   EncodeEstimateResponsePayload(response)));
         return;
@@ -603,14 +532,14 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
         auto requests = DecodeEstimateBatchRequestPayload(frame.payload, &err);
         if (!requests.has_value()) {
           CountBoundaryReject(err);
-          QueueError(conn, id, err, "bad EstimateBatchRequest");
+          QueueError(loop, conn, id, err, "bad EstimateBatchRequest");
           return;
         }
         const std::vector<runtime::EstimateResponse> responses =
             service_->EstimateBatch(*requests);
         Bump(counters_->batches);
         Bump(counters_->batch_items, responses.size());
-        QueueResponse(conn,
+        QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kEstimateBatchResponse, id,
                                   EncodeEstimateBatchResponse(responses)));
         return;
@@ -622,27 +551,29 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
             DecodePlacementRequestPayload(frame.payload, &err, &options);
         if (!candidates.has_value()) {
           CountBoundaryReject(err);
-          QueueError(conn, id, err, "bad PlacementRequest");
+          QueueError(loop, conn, id, err, "bad PlacementRequest");
           return;
         }
         const runtime::PlacementResult result =
             service_->ChoosePlacement(*candidates, options);
         Bump(counters_->placements);
-        QueueResponse(conn, EncodeFrame(MessageType::kPlacementResponse, id,
-                                        EncodePlacementResponse(result)));
+        QueueResponse(loop, conn,
+                      EncodeFrame(MessageType::kPlacementResponse, id,
+                                  EncodePlacementResponse(result)));
         return;
       }
       case MessageType::kStatsRequest: {
         if (!frame.payload.empty()) {
           CountBoundaryReject(WireError::kMalformedFrame);
-          QueueError(conn, id, WireError::kMalformedFrame,
+          QueueError(loop, conn, id, WireError::kMalformedFrame,
                      "StatsRequest carries no payload");
           return;
         }
         Bump(counters_->stats_requests);
-        QueueResponse(conn, EncodeFrame(MessageType::kStatsResponse, id,
-                                        EncodeStats(service_->Stats(),
-                                                    NetCounterEntries())));
+        QueueResponse(loop, conn,
+                      EncodeFrame(MessageType::kStatsResponse, id,
+                                  EncodeStats(service_->Stats(),
+                                              NetCounterEntries())));
         return;
       }
       case MessageType::kReportActual: {
@@ -650,7 +581,7 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
         auto report = DecodeReportActualPayload(frame.payload, &err);
         if (!report.has_value()) {
           CountBoundaryReject(err);
-          QueueError(conn, id, err, "bad ReportActual");
+          QueueError(loop, conn, id, err, "bad ReportActual");
           return;
         }
         Bump(counters_->feedback_reports);
@@ -658,19 +589,21 @@ void EstimateServer::ServeFrame(const std::shared_ptr<Connection>& conn,
         // accepted=false ack, never an error frame.
         const bool accepted = config_.feedback_handler != nullptr &&
                               config_.feedback_handler(*report);
-        QueueResponse(conn, EncodeFrame(MessageType::kReportActualAck, id,
-                                        EncodeReportActualAck(accepted)));
+        QueueResponse(loop, conn,
+                      EncodeFrame(MessageType::kReportActualAck, id,
+                                  EncodeReportActualAck(accepted)));
         return;
       }
       default:
-        // Unreachable: HandleFrame admits only the five request types.
-        QueueError(conn, id, WireError::kInternal, "bad dispatch");
+        // Unreachable: Admit passes only the five request types.
+        QueueError(loop, conn, id, WireError::kInternal, "bad dispatch");
         return;
     }
   } catch (...) {
     // The wire boundary contract: a request may fail, the server may not.
     Bump(counters_->internal_errors);
-    QueueError(conn, id, WireError::kInternal, "exception serving request");
+    QueueError(loop, conn, id, WireError::kInternal,
+               "exception serving request");
   }
 }
 
@@ -710,62 +643,69 @@ std::map<std::string, uint64_t> EstimateServer::NetCounterEntries() const {
 
 // ---- Write path -------------------------------------------------------------
 
-void EstimateServer::QueueResponse(const std::shared_ptr<Connection>& conn,
-                                   std::vector<uint8_t> bytes) {
+void EstimateServer::QueueResponse(Loop& loop, Connection& conn,
+                                   const std::vector<uint8_t>& bytes) {
   Bump(counters_->responses_sent);
-  QueueBytes(conn, std::move(bytes));
+  QueueBytes(loop, conn, bytes);
 }
 
-void EstimateServer::QueueError(const std::shared_ptr<Connection>& conn,
+void EstimateServer::QueueError(Loop& loop, Connection& conn,
                                 uint32_t request_id, WireError code,
                                 const std::string& message) {
   Bump(counters_->error_frames_sent);
-  QueueBytes(conn, EncodeErrorFrame(request_id, code, message));
+  QueueBytes(loop, conn, EncodeErrorFrame(request_id, code, message));
 }
 
-void EstimateServer::QueueBytes(const std::shared_ptr<Connection>& conn,
-                                std::vector<uint8_t> bytes) {
-  if (conn->closed.load(std::memory_order_acquire)) {
+void EstimateServer::QueueBytes(Loop& loop, Connection& conn,
+                                const std::vector<uint8_t>& bytes) {
+  // Past the bound, first hand the socket what it will take: a peer that
+  // reads keeps its connection however deep it pipelines.
+  if (conn.pending() + bytes.size() > config_.max_write_buffer) {
+    Flush(loop, conn);
+  }
+  if (conn.closed) {
     Bump(counters_->dropped_responses);
     return;
   }
-  bool overflow = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mutex);
-    const size_t pending = conn->write_buf.size() - conn->write_pos;
-    if (pending + bytes.size() > config_.max_write_buffer) {
-      overflow = true;
-    } else {
-      if (conn->write_pos > 0 && conn->write_pos == conn->write_buf.size()) {
-        conn->write_buf.clear();
-        conn->write_pos = 0;
-      }
-      conn->write_buf.insert(conn->write_buf.end(), bytes.begin(),
-                             bytes.end());
-    }
-  }
-  if (overflow) {
+  if (conn.pending() + bytes.size() > config_.max_write_buffer) {
     // A peer that will not read its responses is disconnected, not buffered
     // without bound.
     Bump(counters_->write_limit_closes);
-    conn->kill.store(true, std::memory_order_release);
-  } else {
-    conn->want_write.store(true, std::memory_order_release);
+    CloseConnection(loop, conn);
+    return;
   }
-  WakeLoop(*loops_[conn->loop_index]);
+  if (conn.pending() == 0) {
+    conn.write_buf.clear();
+    conn.write_pos = 0;
+    loop.unflushed.push_back(&conn);
+  }
+  conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
 }
 
-bool EstimateServer::AllWritesFlushed() const {
-  for (const auto& loop : loops_) {
-    std::vector<std::shared_ptr<Connection>> conns;
-    {
-      std::lock_guard<std::mutex> lock(loop->conns_mutex);
-      for (const auto& [fd, conn] : loop->conns) conns.push_back(conn);
+bool EstimateServer::Flush(Loop& loop, Connection& conn) {
+  if (conn.closed) return false;
+  while (conn.pending() > 0) {
+    const ssize_t n =
+        ::send(conn.fd, conn.write_buf.data() + conn.write_pos,
+               conn.pending(), MSG_NOSIGNAL);
+    if (n > 0) {
+      Bump(counters_->bytes_sent, static_cast<uint64_t>(n));
+      conn.write_pos += static_cast<size_t>(n);
+      continue;
     }
-    for (const auto& conn : conns) {
-      std::lock_guard<std::mutex> lock(conn->write_mutex);
-      if (conn->write_pos < conn->write_buf.size()) return false;
-    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    CloseConnection(loop, conn);  // the peer is gone
+    return false;
+  }
+  if (conn.pending() == 0 && conn.close_after_flush) {
+    CloseConnection(loop, conn);
+    return false;
+  }
+  // EPOLLOUT stays armed exactly while bytes wait on a full socket.
+  if (conn.write_armed != (conn.pending() > 0)) {
+    conn.write_armed = !conn.write_armed;
+    SetInterest(loop, conn);
   }
   return true;
 }

@@ -5,21 +5,22 @@
 // Architecture (one process, no RPC framework):
 //
 //   listener ──▶ accept (loop 0) ──▶ connection assigned round-robin to an
-//   IO event loop (epoll, level-triggered). The loop owns the connection's
-//   read side: bytes → FrameAssembler → frames. Each decoded frame passes
-//   admission control and is dispatched as one task onto the
-//   EstimationService's ThreadPool; the task decodes the payload at the
-//   wire boundary (see wire_format.h), computes through the service, and
-//   queues the encoded response on the connection's write buffer. An
-//   eventfd wake tells the owning loop to flush (workers never write to the
-//   socket themselves — the loop is the only writer, so response bytes of
-//   concurrent tasks never interleave mid-frame).
+//   IO event loop (epoll, level-triggered). The loop owns the connection
+//   outright. In one wake it reads at most one chunk from each ready
+//   socket and gathers the frames the FrameAssembler completes, deciding
+//   admission for each; it then answers the gathered frames in arrival
+//   order — decode at the wire boundary (see wire_format.h), price through
+//   the EstimationService, encode into the connection's write buffer — and
+//   finally writes every buffer that gained bytes, all before it returns to
+//   epoll_wait. EPOLLOUT is armed only after a short write. A request never
+//   leaves its loop's thread, so the connection needs no lock and a
+//   response needs no wake.
 //
 // Admission control — the server prefers shedding to buffering:
-//   * max_inflight bounds dispatched-but-unanswered requests server-wide;
-//     past it, requests get an immediate kOverloaded error frame instead of
-//     queueing (the client retries elsewhere / later — that is the
-//     load-shed contract, see DESIGN.md §8).
+//   * max_inflight bounds frames read off sockets and not yet answered,
+//     server-wide; past it, a request gets an immediate kOverloaded error
+//     frame instead of being priced (the client retries elsewhere / later —
+//     that is the load-shed contract, see DESIGN.md §8).
 //   * max_read_buffer bounds unparsed inbound bytes per connection; a peer
 //     that streams frames faster than it drains responses is disconnected,
 //     not buffered without bound.
@@ -28,11 +29,13 @@
 //   * max_connections bounds accepted sockets; past it, accepts are closed
 //     immediately.
 //
-// Graceful shutdown (Stop): stop accepting → stop admitting (reads are
-// disabled, so no new frames decode) → drain every dispatched request →
-// flush response buffers (bounded by flush_timeout) → close. A request that
-// was admitted is therefore always answered before its connection closes —
-// never dropped silently. Full-stack teardown order is
+// Graceful shutdown (Stop): set draining and wake every loop (the only use
+// of each loop's eventfd). A loop stops reading — the frames of its last
+// wake were answered in that wake — flushes its write buffers until they
+// are empty or flush_timeout passes, and exits; Stop() joins the loops and
+// closes every connection. A request that was admitted is therefore always
+// answered before its connection closes — never dropped silently. Full-stack
+// teardown order is
 //   server.Stop() → ModelRefreshDaemon dtor → service.StopProbing() →
 //   EstimationService dtor (ThreadPool join)
 // so no component's background threads can touch a component destroyed
@@ -43,14 +46,12 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/wire_format.h"
@@ -67,13 +68,13 @@ struct EstimateServerConfig {
   // any buffering toward them (capped at wire_format's kMaxPayloadBytes).
   uint32_t max_frame_payload = kMaxPayloadBytes;
   size_t max_connections = 1024;
-  // Server-wide bound on dispatched-but-unanswered requests; 0 sheds
-  // everything (useful to force the overload path in tests).
+  // Server-wide bound on frames read off sockets and not yet answered; 0
+  // sheds everything (useful to force the overload path in tests).
   size_t max_inflight = 256;
   size_t max_read_buffer = 1u << 20;
   size_t max_write_buffer = 1u << 22;
-  // Stop(): how long to keep flushing queued responses to slow readers
-  // after the in-flight drain completes.
+  // Stop(): how long each loop keeps flushing queued responses to slow
+  // readers before it closes their connections.
   std::chrono::milliseconds flush_timeout{2000};
   // Sink for kReportActual frames (typically AdaptationController::Record).
   // Returns whether the report was buffered; the ack echoes that. Null =
@@ -91,8 +92,8 @@ struct NetServerStatsSnapshot {
   uint64_t frames_received = 0;
   uint64_t malformed_frames = 0;     // stream poisoned; connection closed
   uint64_t unknown_type_frames = 0;  // answered kUnknownType, kept open
-  uint64_t requests_dispatched = 0;  // admitted onto the pool
-  uint64_t requests_completed = 0;   // dispatched tasks finished
+  uint64_t requests_dispatched = 0;  // admitted for pricing
+  uint64_t requests_completed = 0;   // admitted requests answered
   uint64_t responses_sent = 0;       // data responses enqueued
   uint64_t error_frames_sent = 0;    // error frames enqueued
   uint64_t invalid_requests = 0;     // kInvalidRequest at the wire boundary
@@ -116,8 +117,8 @@ struct NetServerStatsSnapshot {
 
 class EstimateServer {
  public:
-  // `service` must outlive the server; request tasks run on
-  // service->worker_pool() (inline on the IO loop with zero workers).
+  // `service` must outlive the server; requests are priced on the IO loop
+  // that read them.
   explicit EstimateServer(runtime::EstimationService* service,
                           EstimateServerConfig config = {});
   ~EstimateServer();  // calls Stop()
@@ -140,35 +141,35 @@ class EstimateServer {
 
   NetServerStatsSnapshot Stats() const;
 
-  // Dispatched-but-unanswered requests right now (admission gauge).
+  // Frames read off sockets and not yet answered (admission gauge).
   size_t inflight() const { return inflight_.load(std::memory_order_relaxed); }
 
  private:
   struct Connection;
   struct Loop;
 
-  void LoopThread(size_t index);
+  void LoopThread(Loop& loop);
   void AcceptReady();
-  void OnReadable(Loop& loop, const std::shared_ptr<Connection>& conn);
-  void OnWritable(Loop& loop, const std::shared_ptr<Connection>& conn);
-  void HandleFrame(Loop& loop, const std::shared_ptr<Connection>& conn,
-                   Frame frame);
-  // The dispatched task body: decode, compute, enqueue the response.
-  void ServeFrame(const std::shared_ptr<Connection>& conn, const Frame& frame);
-  void FinishRequest(const std::shared_ptr<Connection>& conn);
-  void FinishInflightOnly();
+  void ReadChunk(Loop& loop, Connection& conn);
+  // Counts a gathered frame against admission; kNone admits it for
+  // pricing, anything else is the error code it will be answered with.
+  WireError Admit(uint8_t type);
+  void Answer(Loop& loop, Connection& conn, const Frame& frame,
+              WireError refusal);
+  void ServeFrame(Loop& loop, Connection& conn, const Frame& frame);
   void CountBoundaryReject(WireError code);
   std::map<std::string, uint64_t> NetCounterEntries() const;
-  void QueueBytes(const std::shared_ptr<Connection>& conn,
-                  std::vector<uint8_t> bytes);
-  void QueueResponse(const std::shared_ptr<Connection>& conn,
-                     std::vector<uint8_t> bytes);
-  void QueueError(const std::shared_ptr<Connection>& conn, uint32_t request_id,
+  void QueueResponse(Loop& loop, Connection& conn,
+                     const std::vector<uint8_t>& bytes);
+  void QueueError(Loop& loop, Connection& conn, uint32_t request_id,
                   WireError code, const std::string& message);
-  void CloseConnection(Loop& loop, const std::shared_ptr<Connection>& conn);
-  void WakeLoop(Loop& loop);
-  void ApplyWriteInterest(Loop& loop);
-  bool AllWritesFlushed() const;
+  void QueueBytes(Loop& loop, Connection& conn,
+                  const std::vector<uint8_t>& bytes);
+  // Writes what the socket takes; false once the connection is closed.
+  bool Flush(Loop& loop, Connection& conn);
+  void SetInterest(Loop& loop, Connection& conn);
+  void CloseConnection(Loop& loop, Connection& conn);
+  void DrainLoop(Loop& loop);
 
   runtime::EstimationService* const service_;
   const EstimateServerConfig config_;
@@ -176,18 +177,15 @@ class EstimateServer {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::vector<std::unique_ptr<Loop>> loops_;
-  std::atomic<size_t> next_loop_{0};
+  size_t next_loop_ = 0;  // loop 0's round-robin accept cursor
   std::atomic<size_t> num_connections_{0};
 
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
   std::mutex stop_mutex_;  // serializes Stop()
 
   std::atomic<size_t> inflight_{0};
-  std::mutex drain_mutex_;
-  std::condition_variable drain_cv_;
 
   // Counters (relaxed; the serving boundary is not the hot path the sharded
   // runtime counters protect).

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -68,11 +69,15 @@ class NetServerTest : public ::testing::Test {
 };
 
 // A raw loopback socket for byte-level hostile-peer tests (the NetClient
-// refuses to send malformed frames, so we go under it).
+// refuses to send malformed frames, so we go under it). A nonzero `rcvbuf`
+// shrinks the receive buffer before connecting, for peers that never read.
 class RawConn {
  public:
-  explicit RawConn(uint16_t port) {
+  explicit RawConn(uint16_t port, int rcvbuf = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ >= 0 && rcvbuf > 0) {
+      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -90,10 +95,12 @@ class RawConn {
 
   bool connected() const { return connected_; }
 
+  // False once the server has closed the connection (no SIGPIPE).
   bool SendAll(const std::vector<uint8_t>& bytes) {
     size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off, 0);
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
       if (n <= 0) return false;
       off += static_cast<size_t>(n);
     }
@@ -101,37 +108,62 @@ class RawConn {
   }
 
   // Reads until one frame assembles, the peer closes (empty payload,
-  // eof=true), or the receive deadline hits.
+  // eof=true), or the receive deadline hits. Bytes past the frame stay
+  // buffered for the next call, so pipelined answers can be read in turn.
   std::optional<Frame> ReadFrame(bool* eof = nullptr) {
     if (eof != nullptr) *eof = false;
-    FrameAssembler a;
     uint8_t buf[512];
     while (true) {
-      if (auto frame = a.Next()) return frame;
+      if (auto frame = assembler_.Next()) return frame;
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n == 0) {
         if (eof != nullptr) *eof = true;
         return std::nullopt;
       }
       if (n < 0) return std::nullopt;
-      if (!a.Feed(buf, static_cast<size_t>(n))) return std::nullopt;
+      if (!assembler_.Feed(buf, static_cast<size_t>(n))) return std::nullopt;
     }
   }
 
-  // True if the server closes the connection (within the recv deadline).
+  // True if the server closes the connection within the recv deadline. A
+  // reset counts as a close: Linux answers close() on a socket that still
+  // holds unread input with an RST, so recv fails with ECONNRESET instead
+  // of returning 0. A receive timeout is a failure.
   bool WaitForClose() {
     uint8_t buf[512];
     while (true) {
       const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
       if (n == 0) return true;
-      if (n < 0) return false;
+      if (n < 0) return errno == ECONNRESET;
     }
   }
 
  private:
   int fd_ = -1;
   bool connected_ = false;
+  FrameAssembler assembler_;
 };
+
+std::vector<uint8_t> EstimateFrame(uint32_t request_id) {
+  WireWriter w;
+  EncodeEstimateRequest(ValidRequest(), w);
+  return EncodeFrame(MessageType::kEstimateRequest, request_id, w.bytes());
+}
+
+// A well-formed header whose type byte is no MessageType, empty payload.
+std::vector<uint8_t> UnknownTypeFrame(uint32_t request_id) {
+  WireWriter header;
+  header.PutU16(kMagic);
+  header.PutU8(kProtocolVersion);
+  header.PutU8(200);
+  header.PutU32(request_id);
+  header.PutU32(0);
+  return header.bytes();
+}
+
+void Append(std::vector<uint8_t>& bytes, const std::vector<uint8_t>& more) {
+  bytes.insert(bytes.end(), more.begin(), more.end());
+}
 
 // ---- Happy paths ------------------------------------------------------------
 
@@ -356,6 +388,36 @@ TEST_F(NetServerTest, PipelinedRequestsOnOneConnection) {
   }
 }
 
+TEST_F(NetServerTest, PipelinedFramesInOneSendAreAnsweredInOrder) {
+  // 64 frames in one send, an unknown type in the middle: every frame is
+  // answered, in order, under its own request id.
+  RawConn conn(served_->port());
+  ASSERT_TRUE(conn.connected());
+  constexpr uint32_t kFrames = 64;
+  constexpr uint32_t kUnknownAt = 31;
+  std::vector<uint8_t> bytes;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    Append(bytes, i == kUnknownAt ? UnknownTypeFrame(100 + i)
+                                  : EstimateFrame(100 + i));
+  }
+  ASSERT_TRUE(conn.SendAll(bytes));
+
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    auto frame = conn.ReadFrame();
+    ASSERT_TRUE(frame.has_value()) << "answer " << i;
+    EXPECT_EQ(frame->request_id, 100 + i);
+    if (i == kUnknownAt) {
+      ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kError));
+      auto body = DecodeErrorBodyPayload(frame->payload);
+      ASSERT_TRUE(body.has_value());
+      EXPECT_EQ(body->code, WireError::kUnknownType);
+    } else {
+      EXPECT_EQ(frame->type,
+                static_cast<uint8_t>(MessageType::kEstimateResponse));
+    }
+  }
+}
+
 TEST_F(NetServerTest, ManyConcurrentConnections) {
   constexpr int kClients = 8;
   std::vector<std::thread> threads;
@@ -446,14 +508,7 @@ TEST_F(NetServerTest, TruncatedPayloadGetsInvalidOrMalformedNeverCrash) {
 TEST_F(NetServerTest, UnknownMessageTypeIsAnsweredAndKeptOpen) {
   RawConn conn(served_->port());
   ASSERT_TRUE(conn.connected());
-
-  WireWriter header;
-  header.PutU16(kMagic);
-  header.PutU8(kProtocolVersion);
-  header.PutU8(200);  // not a MessageType
-  header.PutU32(31);  // request id
-  header.PutU32(0);   // empty payload
-  ASSERT_TRUE(conn.SendAll(header.bytes()));
+  ASSERT_TRUE(conn.SendAll(UnknownTypeFrame(31)));
 
   auto frame = conn.ReadFrame();
   ASSERT_TRUE(frame.has_value());
@@ -464,10 +519,7 @@ TEST_F(NetServerTest, UnknownMessageTypeIsAnsweredAndKeptOpen) {
   EXPECT_EQ(body->code, WireError::kUnknownType);
 
   // Unknown type is not poisonous — a valid request on the same socket works.
-  WireWriter w;
-  EncodeEstimateRequest(ValidRequest(), w);
-  ASSERT_TRUE(
-      conn.SendAll(EncodeFrame(MessageType::kEstimateRequest, 32, w.bytes())));
+  ASSERT_TRUE(conn.SendAll(EstimateFrame(32)));
   auto ok_frame = conn.ReadFrame();
   ASSERT_TRUE(ok_frame.has_value());
   EXPECT_EQ(ok_frame->type,
@@ -555,6 +607,101 @@ TEST(NetServerAdmissionTest, ZeroInflightShedsEverythingButStaysUp) {
   EXPECT_TRUE(second.Connect("127.0.0.1", served.port()));
   EXPECT_GE(served.server().Stats().overload_shed, 5u);
   EXPECT_EQ(served.server().Stats().requests_dispatched, 0u);
+}
+
+TEST(NetServerAdmissionTest, PipelinedBurstPastTheBoundIsShedInPlace) {
+  ServedRuntimeConfig config = TestConfig();
+  config.server.max_inflight = 4;
+  ServedRuntime served(config);
+  std::string error;
+  ASSERT_TRUE(served.Start(&error)) << error;
+
+  RawConn conn(served.port());
+  ASSERT_TRUE(conn.connected());
+  constexpr uint32_t kFrames = 64;
+  std::vector<uint8_t> bytes;
+  for (uint32_t i = 0; i < kFrames; ++i) Append(bytes, EstimateFrame(100 + i));
+  ASSERT_TRUE(conn.SendAll(bytes));
+
+  // Every slot holds its own answer or a kOverloaded for its request id.
+  uint64_t answered = 0;
+  uint64_t shed = 0;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    auto frame = conn.ReadFrame();
+    ASSERT_TRUE(frame.has_value()) << "answer " << i;
+    EXPECT_EQ(frame->request_id, 100 + i);
+    if (frame->type == static_cast<uint8_t>(MessageType::kEstimateResponse)) {
+      ++answered;
+      continue;
+    }
+    ASSERT_EQ(frame->type, static_cast<uint8_t>(MessageType::kError)) << i;
+    auto body = DecodeErrorBodyPayload(frame->payload);
+    ASSERT_TRUE(body.has_value());
+    EXPECT_EQ(body->code, WireError::kOverloaded) << i;
+    ++shed;
+  }
+  EXPECT_GE(answered, 1u);
+  EXPECT_GE(shed, 1u);
+  EXPECT_GE(served.server().Stats().overload_shed, shed);
+
+  // The shed burst did not poison the connection.
+  ASSERT_TRUE(conn.SendAll(EstimateFrame(500)));
+  auto next = conn.ReadFrame();
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->request_id, 500u);
+  EXPECT_EQ(next->type, static_cast<uint8_t>(MessageType::kEstimateResponse));
+}
+
+TEST(NetServerAdmissionTest, WriteLimitDisconnectsPeersThatNeverRead) {
+  constexpr size_t kWriteLimit = 64 * 1024;
+  ServedRuntimeConfig config = TestConfig();
+  config.server.max_write_buffer = kWriteLimit;
+  ServedRuntime served(config);
+  std::string error;
+  ASSERT_TRUE(served.Start(&error)) << error;
+
+  // Stats requests are 12 bytes each and answered with kilobytes.
+  std::vector<uint8_t> burst;
+  for (uint32_t i = 0; i < 256; ++i) {
+    Append(burst, EncodeFrame(MessageType::kStatsRequest, i, {}));
+  }
+
+  // A peer that reads keeps its connection, even when one burst's answers
+  // add up to more than the limit.
+  RawConn reader(served.port());
+  ASSERT_TRUE(reader.connected());
+  ASSERT_TRUE(reader.SendAll(burst));
+  size_t answer_bytes = 0;
+  for (uint32_t i = 0; i < 256; ++i) {
+    auto frame = reader.ReadFrame();
+    ASSERT_TRUE(frame.has_value()) << "answer " << i;
+    EXPECT_EQ(frame->request_id, i);
+    EXPECT_EQ(frame->type, static_cast<uint8_t>(MessageType::kStatsResponse));
+    answer_bytes += kHeaderSize + frame->payload.size();
+  }
+  EXPECT_GT(answer_bytes, kWriteLimit);
+  EXPECT_EQ(served.server().Stats().write_limit_closes, 0u);
+
+  // A peer that never reads: its answers back up past the socket into the
+  // server's write buffer until the limit cuts it off.
+  RawConn hog(served.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(hog.connected());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (served.server().Stats().write_limit_closes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (!hog.SendAll(burst)) break;  // the server hung up mid-send
+  }
+  EXPECT_GE(served.server().Stats().write_limit_closes, 1u);
+  EXPECT_TRUE(hog.WaitForClose());
+
+  // Cutting one peer off leaves the server answering everyone else.
+  NetClient other;
+  ASSERT_TRUE(other.Connect("127.0.0.1", served.port()));
+  EstimateResponse resp;
+  ASSERT_TRUE(other.Estimate(ValidRequest(), &resp).ok());
+  EXPECT_EQ(resp.status, EstimateStatus::kOk);
+  EXPECT_TRUE(served.server().running());
 }
 
 TEST(NetServerAdmissionTest, ConnectionCapRejectsExtraSockets) {
