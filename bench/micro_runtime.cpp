@@ -58,10 +58,17 @@
 // thread_scaling_8t_x the bench emits thread_scaling_honest_x measured at
 // the largest batch thread count that actually fits the machine.
 //
+// The batch xN rows (batch x1 through x8 + refresh) time a fixed window —
+// 500 ms, 100 ms in --smoke: their readers are spawned and each serves its
+// own whole slice once before a start barrier releases them all into the
+// window, and the row counts what they served in it. Every other row times
+// one pass over the workload after a warmup pass.
+//
 // Each scenario runs kReps times and reports the best repetition — on a
 // shared machine the best rep is the least-perturbed measurement.
 //
-// MSCM_RUNTIME_BENCH_N (env) overrides the request count;
+// MSCM_RUNTIME_BENCH_N (env) overrides the request count (for the batch xN
+// rows, the workload the readers split and cycle through);
 // MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
 // `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
 // JSON write, and fails (exit 1) if any of these hold: the cached hot path
@@ -79,6 +86,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <latch>
 #include <map>
 #include <string>
 #include <thread>
@@ -247,8 +255,11 @@ std::unique_ptr<runtime::EstimationService> MakeService(bool cached,
   return service;
 }
 
+// `window` is the timed window of the batch xN rows (see below); the other
+// rows time one pass over `requests`.
 Result Run(const Scenario& scenario,
-           const std::vector<runtime::EstimateRequest>& requests) {
+           const std::vector<runtime::EstimateRequest>& requests,
+           std::chrono::milliseconds window) {
   auto service = MakeService(scenario.cached, scenario.degraded);
 
   std::atomic<bool> writer_stop{false};
@@ -299,50 +310,84 @@ Result Run(const Scenario& scenario,
     });
   }
 
-  // Every drive() accumulates the thread's RmwProbe delta; the tally is
-  // reset after warmup so rmw_total covers exactly the timed pass.
-  std::atomic<uint64_t> rmw_total{0};
-  auto drive = [&](size_t begin, size_t end) {
-    const uint64_t rmw_before = runtime::RmwProbe::Current();
-    if (scenario.batched) {
-      std::vector<runtime::EstimateRequest> chunk;
-      for (size_t i = begin; i < end; i += kBatch) {
-        const size_t stop = std::min(end, i + kBatch);
-        chunk.assign(requests.begin() + static_cast<long>(i),
-                     requests.begin() + static_cast<long>(stop));
-        service->EstimateBatch(chunk);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) service->Estimate(requests[i]);
-    }
-    rmw_total.fetch_add(runtime::RmwProbe::Current() - rmw_before,
-                        std::memory_order_relaxed);
+  // Serves the chunk of requests[i, end) starting at i; returns its size.
+  auto serve_batch = [&](std::vector<runtime::EstimateRequest>& chunk,
+                         size_t i, size_t end) {
+    const size_t stop = std::min(end, i + kBatch);
+    chunk.assign(requests.begin() + static_cast<long>(i),
+                 requests.begin() + static_cast<long>(stop));
+    service->EstimateBatch(chunk);
+    return stop - i;
   };
 
-  // Warmup pass (1/8 of the workload, but at least one full cycle of the
-  // hot working set so cached scenarios enter the timed pass fully warm),
-  // then the timed pass.
-  drive(0, std::min(requests.size(),
-                    std::max<size_t>(requests.size() / 8, 512)));
-  rmw_total.store(0, std::memory_order_relaxed);
-
-  const auto started = Clock::now();
-  if (scenario.threads <= 1) {
-    drive(0, requests.size());
-  } else {
+  // Shared RMWs and requests served over the timed pass, summed across the
+  // scenario's reader threads.
+  std::atomic<uint64_t> rmw_total{0};
+  std::atomic<uint64_t> served{0};
+  double seconds = 0.0;
+  if (scenario.batched && !scenario.hot) {
+    // Batch xN rows time a fixed window. Each reader is spawned and first
+    // serves its whole slice once, so its thread start and its first touch
+    // of its registry slot, counter shard, histogram stripe and epoch slot
+    // all land before the window; then every reader is released at once
+    // and counts what it serves until the window closes. (At --smoke size
+    // a fixed request count lasts ~0.2 ms, less than that set-up.)
+    std::latch start_line(scenario.threads + 1);
+    std::atomic<bool> window_closed{false};
     std::vector<std::thread> readers;
     const size_t per = requests.size() / static_cast<size_t>(scenario.threads);
     for (int t = 0; t < scenario.threads; ++t) {
       const size_t begin = static_cast<size_t>(t) * per;
-      const size_t end = t + 1 == scenario.threads
-                             ? requests.size()
-                             : begin + per;
-      readers.emplace_back([&drive, begin, end] { drive(begin, end); });
+      const size_t end =
+          t + 1 == scenario.threads ? requests.size() : begin + per;
+      readers.emplace_back([&, begin, end] {
+        std::vector<runtime::EstimateRequest> chunk;
+        for (size_t i = begin; i < end; i += kBatch) {
+          serve_batch(chunk, i, end);
+        }
+        start_line.arrive_and_wait();
+        const uint64_t rmw_before = runtime::RmwProbe::Current();
+        uint64_t n = 0;
+        for (size_t i = begin; !window_closed.load(std::memory_order_relaxed);
+             i = i + kBatch < end ? i + kBatch : begin) {
+          n += serve_batch(chunk, i, end);
+        }
+        served.fetch_add(n, std::memory_order_relaxed);
+        rmw_total.fetch_add(runtime::RmwProbe::Current() - rmw_before,
+                            std::memory_order_relaxed);
+      });
     }
+    start_line.arrive_and_wait();
+    const auto started = Clock::now();
+    std::this_thread::sleep_for(window);
+    window_closed.store(true, std::memory_order_relaxed);
     for (std::thread& r : readers) r.join();
+    seconds = std::chrono::duration<double>(Clock::now() - started).count();
+  } else {
+    auto drive = [&](size_t begin, size_t end) {
+      const uint64_t rmw_before = runtime::RmwProbe::Current();
+      if (scenario.batched) {
+        std::vector<runtime::EstimateRequest> chunk;
+        for (size_t i = begin; i < end; i += kBatch) {
+          serve_batch(chunk, i, end);
+        }
+      } else {
+        for (size_t i = begin; i < end; ++i) service->Estimate(requests[i]);
+      }
+      rmw_total.fetch_add(runtime::RmwProbe::Current() - rmw_before,
+                          std::memory_order_relaxed);
+    };
+    // Warmup pass (1/8 of the workload, but at least one full cycle of the
+    // hot working set so cached scenarios enter the timed pass fully warm),
+    // then the timed pass over the whole workload on this thread.
+    drive(0, std::min(requests.size(),
+                      std::max<size_t>(requests.size() / 8, 512)));
+    rmw_total.store(0, std::memory_order_relaxed);
+    const auto started = Clock::now();
+    drive(0, requests.size());
+    seconds = std::chrono::duration<double>(Clock::now() - started).count();
+    served.store(requests.size(), std::memory_order_relaxed);
   }
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - started).count();
 
   if (scenario.with_writer) {
     writer_stop.store(true);
@@ -359,24 +404,26 @@ Result Run(const Scenario& scenario,
   const runtime::RuntimeStatsSnapshot stats = service->Stats();
   Result result;
   result.scenario = scenario;
-  result.qps = static_cast<double>(requests.size()) / seconds;
+  const double n_served =
+      static_cast<double>(served.load(std::memory_order_relaxed));
+  result.qps = n_served / seconds;
   result.p50_us = stats.estimate_latency.p50_seconds * 1e6;
   result.p99_us = stats.estimate_latency.p99_seconds * 1e6;
   result.refreshes = refreshes;
   result.cache_hits = stats.estimate_cache_hits;
-  result.rmw_per_request = static_cast<double>(
-                               rmw_total.load(std::memory_order_relaxed)) /
-                           static_cast<double>(requests.size());
+  result.rmw_per_request =
+      static_cast<double>(rmw_total.load(std::memory_order_relaxed)) /
+      n_served;
   return result;
 }
 
 // Best (highest-throughput) of `reps` repetitions of a scenario.
 Result RunBestOf(const Scenario& scenario,
                  const std::vector<runtime::EstimateRequest>& requests,
-                 size_t reps) {
-  Result best = Run(scenario, requests);
+                 size_t reps, std::chrono::milliseconds window) {
+  Result best = Run(scenario, requests, window);
   for (size_t r = 1; r < reps; ++r) {
-    Result next = Run(scenario, requests);
+    Result next = Run(scenario, requests, window);
     if (next.qps > best.qps) best = next;
   }
   return best;
@@ -933,6 +980,7 @@ int main(int argc, char** argv) {
   // Smoke mode bounds the run for CI: small workload, one rep, no JSON.
   const size_t n = EnvCount("MSCM_RUNTIME_BENCH_N", smoke ? 2000 : 40000);
   const size_t reps = EnvCount("MSCM_RUNTIME_BENCH_REPS", smoke ? 1 : 3);
+  const auto window = std::chrono::milliseconds(smoke ? 100 : 500);
   const std::vector<runtime::EstimateRequest> requests = MakeWorkload(n);
   const std::vector<runtime::EstimateRequest> hot_requests = MakeHotWorkload(n);
 
@@ -962,7 +1010,8 @@ int main(int argc, char** argv) {
   std::vector<Result> results;
   for (const Scenario& scenario : scenarios) {
     results.push_back(
-        RunBestOf(scenario, scenario.hot ? hot_requests : requests, reps));
+        RunBestOf(scenario, scenario.hot ? hot_requests : requests, reps,
+                  window));
     const Result& r = results.back();
     const bool oversub =
         static_cast<unsigned>(r.scenario.threads) > effective_hw;
@@ -983,11 +1032,11 @@ int main(int argc, char** argv) {
   // apparently faster); the pairing removes that artifact.
   const Scenario degraded_single{"degraded x1", 1, false, false, false,
                                  false, false, /*degraded=*/true};
-  Result paired_healthy = Run(scenarios[0], requests);
-  Result paired_degraded = Run(degraded_single, requests);
+  Result paired_healthy = Run(scenarios[0], requests, window);
+  Result paired_degraded = Run(degraded_single, requests, window);
   for (size_t r = 1; r < std::max<size_t>(reps, 2); ++r) {
-    Result h = Run(scenarios[0], requests);
-    Result d = Run(degraded_single, requests);
+    Result h = Run(scenarios[0], requests, window);
+    Result d = Run(degraded_single, requests, window);
     if (h.qps > paired_healthy.qps) paired_healthy = h;
     if (d.qps > paired_degraded.qps) paired_degraded = d;
   }

@@ -11,6 +11,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <map>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "common/str_util.h"
@@ -20,38 +24,15 @@ namespace mscm::net {
 
 // ---- Internal structures ----------------------------------------------------
 
-struct EstimateServer::Counters {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_rejected{0};
-  std::atomic<uint64_t> connections_closed{0};
-  std::atomic<uint64_t> frames_received{0};
-  std::atomic<uint64_t> malformed_frames{0};
-  std::atomic<uint64_t> unknown_type_frames{0};
-  std::atomic<uint64_t> requests_dispatched{0};
-  std::atomic<uint64_t> requests_completed{0};
-  std::atomic<uint64_t> responses_sent{0};
-  std::atomic<uint64_t> error_frames_sent{0};
-  std::atomic<uint64_t> invalid_requests{0};
-  std::atomic<uint64_t> overload_shed{0};
-  std::atomic<uint64_t> shutdown_shed{0};
-  std::atomic<uint64_t> internal_errors{0};
-  std::atomic<uint64_t> read_limit_closes{0};
-  std::atomic<uint64_t> write_limit_closes{0};
-  std::atomic<uint64_t> dropped_responses{0};
-  std::atomic<uint64_t> estimates{0};
-  std::atomic<uint64_t> batches{0};
-  std::atomic<uint64_t> batch_items{0};
-  std::atomic<uint64_t> placements{0};
-  std::atomic<uint64_t> stats_requests{0};
-  std::atomic<uint64_t> feedback_reports{0};
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> bytes_sent{0};
-};
-
 namespace {
-void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
-  c.fetch_add(n, std::memory_order_relaxed);
+
+std::span<const runtime::CounterRow<NetServerStatsSnapshot>> NetCounterRows() {
+  using S = NetServerStatsSnapshot;
+  static constexpr runtime::CounterRow<S> kRows[] = {
+      MSCM_NET_COUNTERS(MSCM_COUNTER_ROW)};
+  return kRows;
 }
+
 }  // namespace
 
 // Every field is the owning loop's: it reads, answers and writes the
@@ -83,6 +64,7 @@ struct EstimateServer::Loop {
   int epoll_fd = -1;
   int wake_fd = -1;  // Stop()'s wake; nothing else writes it
   std::thread thread;
+  Counters::Shard* counters = nullptr;  // the loop thread's own shard
 
   // Loop 0's acceptor inserts; the owning loop erases when it closes one.
   std::mutex conns_mutex;
@@ -97,68 +79,20 @@ struct EstimateServer::Loop {
 // ---- Stats ------------------------------------------------------------------
 
 std::string NetServerStatsSnapshot::ToString() const {
-  return Format(
-      "conns{accepted=%llu rejected=%llu closed=%llu} frames=%llu "
-      "dispatched=%llu completed=%llu responses=%llu errors=%llu "
-      "shed{overload=%llu shutdown=%llu} invalid=%llu malformed=%llu "
-      "unknown_type=%llu internal=%llu limit_closes{read=%llu write=%llu} "
-      "dropped=%llu served{est=%llu batch=%llu items=%llu place=%llu "
-      "stats=%llu feedback=%llu} bytes{in=%llu out=%llu}",
-      static_cast<unsigned long long>(connections_accepted),
-      static_cast<unsigned long long>(connections_rejected),
-      static_cast<unsigned long long>(connections_closed),
-      static_cast<unsigned long long>(frames_received),
-      static_cast<unsigned long long>(requests_dispatched),
-      static_cast<unsigned long long>(requests_completed),
-      static_cast<unsigned long long>(responses_sent),
-      static_cast<unsigned long long>(error_frames_sent),
-      static_cast<unsigned long long>(overload_shed),
-      static_cast<unsigned long long>(shutdown_shed),
-      static_cast<unsigned long long>(invalid_requests),
-      static_cast<unsigned long long>(malformed_frames),
-      static_cast<unsigned long long>(unknown_type_frames),
-      static_cast<unsigned long long>(internal_errors),
-      static_cast<unsigned long long>(read_limit_closes),
-      static_cast<unsigned long long>(write_limit_closes),
-      static_cast<unsigned long long>(dropped_responses),
-      static_cast<unsigned long long>(estimates),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(batch_items),
-      static_cast<unsigned long long>(placements),
-      static_cast<unsigned long long>(stats_requests),
-      static_cast<unsigned long long>(feedback_reports),
-      static_cast<unsigned long long>(bytes_received),
-      static_cast<unsigned long long>(bytes_sent));
+  std::string out;
+  for (const auto& row : NetCounterRows()) {
+    if (!out.empty()) out += ' ';
+    out += Format("%s=%llu", row.name,
+                  static_cast<unsigned long long>(this->*row.field));
+  }
+  return out;
 }
 
 NetServerStatsSnapshot EstimateServer::Stats() const {
-  const Counters& c = *counters_;
+  const Counters::Tally sums = counters_.Sum();
+  const auto rows = NetCounterRows();
   NetServerStatsSnapshot s;
-  s.connections_accepted = c.connections_accepted.load();
-  s.connections_rejected = c.connections_rejected.load();
-  s.connections_closed = c.connections_closed.load();
-  s.frames_received = c.frames_received.load();
-  s.malformed_frames = c.malformed_frames.load();
-  s.unknown_type_frames = c.unknown_type_frames.load();
-  s.requests_dispatched = c.requests_dispatched.load();
-  s.requests_completed = c.requests_completed.load();
-  s.responses_sent = c.responses_sent.load();
-  s.error_frames_sent = c.error_frames_sent.load();
-  s.invalid_requests = c.invalid_requests.load();
-  s.overload_shed = c.overload_shed.load();
-  s.shutdown_shed = c.shutdown_shed.load();
-  s.internal_errors = c.internal_errors.load();
-  s.read_limit_closes = c.read_limit_closes.load();
-  s.write_limit_closes = c.write_limit_closes.load();
-  s.dropped_responses = c.dropped_responses.load();
-  s.estimates = c.estimates.load();
-  s.batches = c.batches.load();
-  s.batch_items = c.batch_items.load();
-  s.placements = c.placements.load();
-  s.stats_requests = c.stats_requests.load();
-  s.feedback_reports = c.feedback_reports.load();
-  s.bytes_received = c.bytes_received.load();
-  s.bytes_sent = c.bytes_sent.load();
+  for (size_t i = 0; i < rows.size(); ++i) s.*rows[i].field = sums.values[i];
   return s;
 }
 
@@ -166,9 +100,7 @@ NetServerStatsSnapshot EstimateServer::Stats() const {
 
 EstimateServer::EstimateServer(runtime::EstimationService* service,
                                EstimateServerConfig config)
-    : service_(service),
-      config_(std::move(config)),
-      counters_(std::make_unique<Counters>()) {}
+    : service_(service), config_(std::move(config)) {}
 
 EstimateServer::~EstimateServer() { Stop(); }
 
@@ -268,10 +200,11 @@ void EstimateServer::Stop() {
 
   ::close(listen_fd_);
   listen_fd_ = -1;
+  Counters::Shard& counters = counters_.Local();
   for (auto& loop : loops_) {
     for (auto& [fd, conn] : loop->conns) {
       ::close(fd);
-      Bump(counters_->connections_closed);
+      counters.Add(NetCounter::connections_closed);
     }
     loop->conns.clear();
     ::close(loop->epoll_fd);
@@ -283,6 +216,7 @@ void EstimateServer::Stop() {
 // ---- Event loop -------------------------------------------------------------
 
 void EstimateServer::LoopThread(Loop& loop) {
+  loop.counters = &counters_.Local();
   epoll_event events[64];
   while (!draining_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(loop.epoll_fd, events, 64, -1);
@@ -293,7 +227,7 @@ void EstimateServer::LoopThread(Loop& loop) {
       void* const tag = events[i].data.ptr;
       if (tag == &loop.wake_fd) continue;  // draining_ ends the loop
       if (tag == &listen_fd_) {
-        AcceptReady();
+        AcceptReady(loop);
         continue;
       }
       Connection& conn = *static_cast<Connection*>(tag);
@@ -343,7 +277,7 @@ void EstimateServer::DrainLoop(Loop& loop) {
   }
 }
 
-void EstimateServer::AcceptReady() {
+void EstimateServer::AcceptReady(Loop& acceptor) {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -354,7 +288,7 @@ void EstimateServer::AcceptReady() {
     }
     if (num_connections_.load(std::memory_order_relaxed) >=
         config_.max_connections) {
-      Bump(counters_->connections_rejected);
+      acceptor.counters->Add(NetCounter::connections_rejected);
       ::close(fd);
       continue;
     }
@@ -369,7 +303,7 @@ void EstimateServer::AcceptReady() {
       loop.conns[fd] = std::move(owned);
     }
     num_connections_.fetch_add(1, std::memory_order_relaxed);
-    Bump(counters_->connections_accepted);
+    acceptor.counters->Add(NetCounter::connections_accepted);
     // The owning loop first sees the connection through this registration.
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -393,11 +327,11 @@ void EstimateServer::ReadChunk(Loop& loop, Connection& conn) {
     CloseConnection(loop, conn);
     return;
   }
-  Bump(counters_->bytes_received, static_cast<uint64_t>(n));
+  loop.counters->Add(NetCounter::bytes_received, static_cast<uint64_t>(n));
   if (!conn.assembler.Feed(buf, static_cast<size_t>(n))) {
     // Stream poisoned: one typed error, flush it, close. Reading stops now
     // so a garbage firehose cannot keep the connection busy.
-    Bump(counters_->malformed_frames);
+    loop.counters->Add(NetCounter::malformed_frames);
     QueueError(loop, conn, 0, conn.assembler.error(), "unframeable bytes");
     conn.reading = false;
     conn.close_after_flush = true;
@@ -405,12 +339,12 @@ void EstimateServer::ReadChunk(Loop& loop, Connection& conn) {
     return;
   }
   while (auto frame = conn.assembler.Next()) {
-    Bump(counters_->frames_received);
-    const WireError refusal = Admit(frame->type);
+    loop.counters->Add(NetCounter::frames_received);
+    const WireError refusal = Admit(loop, frame->type);
     loop.gathered.push_back({&conn, std::move(*frame), refusal});
   }
   if (conn.assembler.buffered_bytes() > config_.max_read_buffer) {
-    Bump(counters_->read_limit_closes);
+    loop.counters->Add(NetCounter::read_limit_closes);
     CloseConnection(loop, conn);
   }
 }
@@ -438,18 +372,18 @@ void EstimateServer::CloseConnection(Loop& loop, Connection& conn) {
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
   ::close(conn.fd);
   num_connections_.fetch_sub(1, std::memory_order_relaxed);
-  Bump(counters_->connections_closed);
+  loop.counters->Add(NetCounter::connections_closed);
 }
 
 // ---- Frame handling ---------------------------------------------------------
 
-WireError EstimateServer::Admit(uint8_t type) {
+WireError EstimateServer::Admit(Loop& loop, uint8_t type) {
   if (draining_.load(std::memory_order_relaxed)) {
-    Bump(counters_->shutdown_shed);
+    loop.counters->Add(NetCounter::shutdown_shed);
     return WireError::kShuttingDown;
   }
   if (!IsKnownMessageType(type)) {
-    Bump(counters_->unknown_type_frames);
+    loop.counters->Add(NetCounter::unknown_type_frames);
     return WireError::kUnknownType;
   }
   switch (static_cast<MessageType>(type)) {
@@ -460,17 +394,17 @@ WireError EstimateServer::Admit(uint8_t type) {
     case MessageType::kReportActual:
       break;
     default:
-      Bump(counters_->invalid_requests);
+      loop.counters->Add(NetCounter::invalid_requests);
       return WireError::kInvalidRequest;
   }
   // Admission control: shed rather than queue without bound.
   if (inflight_.fetch_add(1, std::memory_order_relaxed) >=
       config_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
-    Bump(counters_->overload_shed);
+    loop.counters->Add(NetCounter::overload_shed);
     return WireError::kOverloaded;
   }
-  Bump(counters_->requests_dispatched);
+  loop.counters->Add(NetCounter::requests_dispatched);
   return WireError::kNone;
 }
 
@@ -481,11 +415,11 @@ void EstimateServer::Answer(Loop& loop, Connection& conn, const Frame& frame,
     case WireError::kNone:
       // Nothing is priced for a peer that went away earlier in this wake.
       if (conn.closed) {
-        Bump(counters_->dropped_responses);
+        loop.counters->Add(NetCounter::dropped_responses);
       } else {
         ServeFrame(loop, conn, frame);
       }
-      Bump(counters_->requests_completed);
+      loop.counters->Add(NetCounter::requests_completed);
       return;
     case WireError::kShuttingDown:
       QueueError(loop, conn, id, refusal, "server draining");
@@ -515,13 +449,13 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
         WireError err = WireError::kMalformedFrame;
         auto request = DecodeEstimateRequestPayload(frame.payload, &err);
         if (!request.has_value()) {
-          CountBoundaryReject(err);
+          CountBoundaryReject(loop, err);
           QueueError(loop, conn, id, err, "bad EstimateRequest");
           return;
         }
         const runtime::EstimateResponse response =
             service_->Estimate(*request);
-        Bump(counters_->estimates);
+        loop.counters->Add(NetCounter::estimates);
         QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kEstimateResponse, id,
                                   EncodeEstimateResponsePayload(response)));
@@ -531,14 +465,14 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
         WireError err = WireError::kMalformedFrame;
         auto requests = DecodeEstimateBatchRequestPayload(frame.payload, &err);
         if (!requests.has_value()) {
-          CountBoundaryReject(err);
+          CountBoundaryReject(loop, err);
           QueueError(loop, conn, id, err, "bad EstimateBatchRequest");
           return;
         }
         const std::vector<runtime::EstimateResponse> responses =
             service_->EstimateBatch(*requests);
-        Bump(counters_->batches);
-        Bump(counters_->batch_items, responses.size());
+        loop.counters->Add(NetCounter::batches);
+        loop.counters->Add(NetCounter::batch_items, responses.size());
         QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kEstimateBatchResponse, id,
                                   EncodeEstimateBatchResponse(responses)));
@@ -550,13 +484,13 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
         auto candidates =
             DecodePlacementRequestPayload(frame.payload, &err, &options);
         if (!candidates.has_value()) {
-          CountBoundaryReject(err);
+          CountBoundaryReject(loop, err);
           QueueError(loop, conn, id, err, "bad PlacementRequest");
           return;
         }
         const runtime::PlacementResult result =
             service_->ChoosePlacement(*candidates, options);
-        Bump(counters_->placements);
+        loop.counters->Add(NetCounter::placements);
         QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kPlacementResponse, id,
                                   EncodePlacementResponse(result)));
@@ -564,27 +498,31 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
       }
       case MessageType::kStatsRequest: {
         if (!frame.payload.empty()) {
-          CountBoundaryReject(WireError::kMalformedFrame);
+          CountBoundaryReject(loop, WireError::kMalformedFrame);
           QueueError(loop, conn, id, WireError::kMalformedFrame,
                      "StatsRequest carries no payload");
           return;
         }
-        Bump(counters_->stats_requests);
+        loop.counters->Add(NetCounter::stats_requests);
+        const NetServerStatsSnapshot net = Stats();
+        std::map<std::string, uint64_t> net_entries;
+        for (const auto& row : NetCounterRows()) {
+          net_entries[std::string("net.") + row.name] = net.*row.field;
+        }
         QueueResponse(loop, conn,
                       EncodeFrame(MessageType::kStatsResponse, id,
-                                  EncodeStats(service_->Stats(),
-                                              NetCounterEntries())));
+                                  EncodeStats(service_->Stats(), net_entries)));
         return;
       }
       case MessageType::kReportActual: {
         WireError err = WireError::kMalformedFrame;
         auto report = DecodeReportActualPayload(frame.payload, &err);
         if (!report.has_value()) {
-          CountBoundaryReject(err);
+          CountBoundaryReject(loop, err);
           QueueError(loop, conn, id, err, "bad ReportActual");
           return;
         }
-        Bump(counters_->feedback_reports);
+        loop.counters->Add(NetCounter::feedback_reports);
         // Feedback is advisory: an absent handler or a full buffer is an
         // accepted=false ack, never an error frame.
         const bool accepted = config_.feedback_handler != nullptr &&
@@ -601,58 +539,30 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
     }
   } catch (...) {
     // The wire boundary contract: a request may fail, the server may not.
-    Bump(counters_->internal_errors);
+    loop.counters->Add(NetCounter::internal_errors);
     QueueError(loop, conn, id, WireError::kInternal,
                "exception serving request");
   }
 }
 
-void EstimateServer::CountBoundaryReject(WireError code) {
-  if (code == WireError::kInvalidRequest) {
-    Bump(counters_->invalid_requests);
-  } else {
-    Bump(counters_->malformed_frames);
-  }
-}
-
-std::map<std::string, uint64_t> EstimateServer::NetCounterEntries() const {
-  const NetServerStatsSnapshot s = Stats();
-  return {
-      {"net.connections_accepted", s.connections_accepted},
-      {"net.connections_closed", s.connections_closed},
-      {"net.frames_received", s.frames_received},
-      {"net.requests_dispatched", s.requests_dispatched},
-      {"net.requests_completed", s.requests_completed},
-      {"net.responses_sent", s.responses_sent},
-      {"net.error_frames_sent", s.error_frames_sent},
-      {"net.invalid_requests", s.invalid_requests},
-      {"net.malformed_frames", s.malformed_frames},
-      {"net.overload_shed", s.overload_shed},
-      {"net.shutdown_shed", s.shutdown_shed},
-      {"net.dropped_responses", s.dropped_responses},
-      {"net.estimates", s.estimates},
-      {"net.batches", s.batches},
-      {"net.batch_items", s.batch_items},
-      {"net.placements", s.placements},
-      {"net.stats_requests", s.stats_requests},
-      {"net.feedback_reports", s.feedback_reports},
-      {"net.bytes_received", s.bytes_received},
-      {"net.bytes_sent", s.bytes_sent},
-  };
+void EstimateServer::CountBoundaryReject(Loop& loop, WireError code) {
+  loop.counters->Add(code == WireError::kInvalidRequest
+                         ? NetCounter::invalid_requests
+                         : NetCounter::malformed_frames);
 }
 
 // ---- Write path -------------------------------------------------------------
 
 void EstimateServer::QueueResponse(Loop& loop, Connection& conn,
                                    const std::vector<uint8_t>& bytes) {
-  Bump(counters_->responses_sent);
+  loop.counters->Add(NetCounter::responses_sent);
   QueueBytes(loop, conn, bytes);
 }
 
 void EstimateServer::QueueError(Loop& loop, Connection& conn,
                                 uint32_t request_id, WireError code,
                                 const std::string& message) {
-  Bump(counters_->error_frames_sent);
+  loop.counters->Add(NetCounter::error_frames_sent);
   QueueBytes(loop, conn, EncodeErrorFrame(request_id, code, message));
 }
 
@@ -664,13 +574,13 @@ void EstimateServer::QueueBytes(Loop& loop, Connection& conn,
     Flush(loop, conn);
   }
   if (conn.closed) {
-    Bump(counters_->dropped_responses);
+    loop.counters->Add(NetCounter::dropped_responses);
     return;
   }
   if (conn.pending() + bytes.size() > config_.max_write_buffer) {
     // A peer that will not read its responses is disconnected, not buffered
     // without bound.
-    Bump(counters_->write_limit_closes);
+    loop.counters->Add(NetCounter::write_limit_closes);
     CloseConnection(loop, conn);
     return;
   }
@@ -689,7 +599,7 @@ bool EstimateServer::Flush(Loop& loop, Connection& conn) {
         ::send(conn.fd, conn.write_buf.data() + conn.write_pos,
                conn.pending(), MSG_NOSIGNAL);
     if (n > 0) {
-      Bump(counters_->bytes_sent, static_cast<uint64_t>(n));
+      loop.counters->Add(NetCounter::bytes_sent, static_cast<uint64_t>(n));
       conn.write_pos += static_cast<size_t>(n);
       continue;
     }

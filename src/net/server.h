@@ -29,6 +29,11 @@
 //   * max_connections bounds accepted sockets; past it, accepts are closed
 //     immediately.
 //
+// Counters: every wire counter is one row of MSCM_NET_COUNTERS below. Each
+// IO loop counts on its own shard (runtime::ShardedCounters, no shared
+// atomic RMW), Stats() sums the shards, and a StatsRequest is answered with
+// the runtime's stats plus every row as "net.<name>".
+//
 // Graceful shutdown (Stop): set draining and wake every loop (the only use
 // of each loop's eventfd). A loop stops reading — the frames of its last
 // wake were answered in that wake — flushes its write buffers until they
@@ -46,9 +51,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -56,6 +61,7 @@
 
 #include "net/wire_format.h"
 #include "runtime/estimation_service.h"
+#include "runtime/runtime_stats.h"
 
 namespace mscm::net {
 
@@ -83,34 +89,43 @@ struct EstimateServerConfig {
   std::function<bool(const runtime::FeedbackReport&)> feedback_handler;
 };
 
-// Monotonic serving-boundary counters (the runtime's own counters stay in
-// RuntimeStatsSnapshot; these cover what happens on the wire).
+// The server's counter rows (see the counter tables in
+// runtime/runtime_stats.h): each names a NetServerStatsSnapshot field, its
+// stats-protocol key "net.<name>" and its printed name at once. The
+// runtime's own counters stay in RuntimeStatsSnapshot; these cover what
+// happens on the wire. The keys are a wire contract: append-only.
+#define MSCM_NET_COUNTERS(ROW)                                                \
+  ROW(connections_accepted, kCounter)                                         \
+  ROW(connections_rejected, kCounter) /* over max_connections */              \
+  ROW(connections_closed, kCounter)                                           \
+  ROW(frames_received, kCounter)                                              \
+  ROW(malformed_frames, kCounter)    /* stream poisoned; connection closed */ \
+  ROW(unknown_type_frames, kCounter) /* answered kUnknownType, kept open */   \
+  ROW(requests_dispatched, kCounter) /* admitted for pricing */               \
+  ROW(requests_completed, kCounter)  /* admitted requests answered */         \
+  ROW(responses_sent, kCounter)      /* data responses enqueued */            \
+  ROW(error_frames_sent, kCounter)   /* error frames enqueued */              \
+  ROW(invalid_requests, kCounter)    /* kInvalidRequest at the boundary */    \
+  ROW(overload_shed, kCounter)       /* kOverloaded by admission control */   \
+  ROW(shutdown_shed, kCounter)       /* kShuttingDown while draining */       \
+  ROW(internal_errors, kCounter)     /* handler threw; answered kInternal */  \
+  ROW(read_limit_closes, kCounter)   /* peer past max_read_buffer */          \
+  ROW(write_limit_closes, kCounter)  /* peer past max_write_buffer */         \
+  ROW(dropped_responses, kCounter)   /* computed, but the peer had gone */    \
+  ROW(estimates, kCounter)                                                    \
+  ROW(batches, kCounter)                                                      \
+  ROW(batch_items, kCounter)                                                  \
+  ROW(placements, kCounter)                                                   \
+  ROW(stats_requests, kCounter)                                               \
+  ROW(feedback_reports, kCounter)    /* kReportActual decoded and routed */   \
+  ROW(bytes_received, kCounter)                                               \
+  ROW(bytes_sent, kCounter)
+
+enum class NetCounter : uint8_t { MSCM_NET_COUNTERS(MSCM_COUNTER_ENUM) };
+inline constexpr size_t kNumNetCounters = 0 MSCM_NET_COUNTERS(MSCM_COUNTER_ONE);
+
 struct NetServerStatsSnapshot {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_rejected = 0;  // over max_connections
-  uint64_t connections_closed = 0;
-  uint64_t frames_received = 0;
-  uint64_t malformed_frames = 0;     // stream poisoned; connection closed
-  uint64_t unknown_type_frames = 0;  // answered kUnknownType, kept open
-  uint64_t requests_dispatched = 0;  // admitted for pricing
-  uint64_t requests_completed = 0;   // admitted requests answered
-  uint64_t responses_sent = 0;       // data responses enqueued
-  uint64_t error_frames_sent = 0;    // error frames enqueued
-  uint64_t invalid_requests = 0;     // kInvalidRequest at the wire boundary
-  uint64_t overload_shed = 0;        // kOverloaded by admission control
-  uint64_t shutdown_shed = 0;        // kShuttingDown while draining
-  uint64_t internal_errors = 0;      // handler threw; answered kInternal
-  uint64_t read_limit_closes = 0;
-  uint64_t write_limit_closes = 0;
-  uint64_t dropped_responses = 0;  // computed, but the peer had gone away
-  uint64_t estimates = 0;
-  uint64_t batches = 0;
-  uint64_t batch_items = 0;
-  uint64_t placements = 0;
-  uint64_t stats_requests = 0;
-  uint64_t feedback_reports = 0;  // kReportActual frames decoded and routed
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
+  MSCM_NET_COUNTERS(MSCM_COUNTER_FIELD)
 
   std::string ToString() const;
 };
@@ -148,17 +163,18 @@ class EstimateServer {
   struct Connection;
   struct Loop;
 
+  using Counters = runtime::ShardedCounters<NetCounter, kNumNetCounters>;
+
   void LoopThread(Loop& loop);
-  void AcceptReady();
+  void AcceptReady(Loop& loop);
   void ReadChunk(Loop& loop, Connection& conn);
   // Counts a gathered frame against admission; kNone admits it for
   // pricing, anything else is the error code it will be answered with.
-  WireError Admit(uint8_t type);
+  WireError Admit(Loop& loop, uint8_t type);
   void Answer(Loop& loop, Connection& conn, const Frame& frame,
               WireError refusal);
   void ServeFrame(Loop& loop, Connection& conn, const Frame& frame);
-  void CountBoundaryReject(WireError code);
-  std::map<std::string, uint64_t> NetCounterEntries() const;
+  void CountBoundaryReject(Loop& loop, WireError code);
   void QueueResponse(Loop& loop, Connection& conn,
                      const std::vector<uint8_t>& bytes);
   void QueueError(Loop& loop, Connection& conn, uint32_t request_id,
@@ -187,10 +203,9 @@ class EstimateServer {
 
   std::atomic<size_t> inflight_{0};
 
-  // Counters (relaxed; the serving boundary is not the hot path the sharded
-  // runtime counters protect).
-  struct Counters;
-  std::unique_ptr<Counters> counters_;
+  // One shard per IO loop (each loop bumps its own; Stop() bumps from its
+  // caller's thread), summed by Stats().
+  Counters counters_;
 };
 
 }  // namespace mscm::net

@@ -55,12 +55,12 @@ std::vector<uint8_t> EncodeStats(
     const runtime::RuntimeStatsSnapshot& snap,
     const std::map<std::string, uint64_t>& extra_counters) {
   WireWriter w;
-  size_t entries = runtime::StatsCounterFields().size() +
-                   runtime::StatsGaugeFields().size() + extra_counters.size();
-  for (const auto& hist : runtime::StatsHistogramFields()) {
-    (void)hist;
-    entries += 1 + std::size(kHistSubFields);  // count + scalar sub-keys
-  }
+  // A histogram is its count plus one scalar sub-key per kHistSubFields.
+  const size_t entries =
+      runtime::StatsCounterFields().size() +
+      runtime::StatsGaugeFields().size() +
+      runtime::StatsHistogramFields().size() * (1 + std::size(kHistSubFields)) +
+      extra_counters.size();
   w.PutU32(static_cast<uint32_t>(entries));
   for (const auto& field : runtime::StatsCounterFields()) {
     PutCounter(w, field.name, snap.*(field.field));

@@ -5,9 +5,11 @@
 // (key string, type tag, 8-byte value). New counters can be appended server
 // side without breaking old clients (unknown keys are simply extra entries),
 // and old servers without breaking new clients (missing keys decode to
-// zero). The key names come from runtime::StatsCounterFields() /
-// StatsGaugeFields() / StatsHistogramFields() — the append-only contract
-// lives there, next to the struct.
+// zero). The key names come from runtime::StatsCounterFields() — the
+// MSCM_RUNTIME_COUNTERS table, one row per counter, in row order — then
+// StatsGaugeFields() and StatsHistogramFields(); the append-only contract
+// lives there, next to the struct. The server appends its MSCM_NET_COUNTERS
+// rows as "net.<name>" extra counters.
 //
 // Histograms flatten to scalar sub-keys: "<name>.count" (u64) and
 // "<name>.mean_s" / ".p50_s" / ".p90_s" / ".p99_s" / ".max_s" (f64).

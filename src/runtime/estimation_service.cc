@@ -49,6 +49,20 @@ constexpr uint64_t kHitLatencySamplePeriod = 64;
 // window state (see instance_id_ in the header). Monotonic, never reused.
 std::atomic<uint64_t> next_service_instance_id{1};
 
+// The six monotone rows a site's tracker counts itself (background probes
+// and ProbeNow alike): `probes` counts attempts, of which `probe_failures`
+// kept the old reading.
+RuntimeCounters::Tally TrackerRows(const ContentionTracker& tracker) {
+  RuntimeCounters::Tally rows;
+  rows[RuntimeCounter::probes] = tracker.probes() + tracker.failures();
+  rows[RuntimeCounter::probe_failures] = tracker.failures();
+  rows[RuntimeCounter::probe_discards] = tracker.discarded();
+  rows[RuntimeCounter::probe_timeouts] = tracker.timeouts();
+  rows[RuntimeCounter::probes_suppressed] = tracker.suppressed();
+  rows[RuntimeCounter::breaker_opens] = tracker.breaker().opens();
+  return rows;
+}
+
 }  // namespace
 
 const char* ToString(EstimateStatus s) {
@@ -113,10 +127,7 @@ void EstimationService::RegisterModelLocked(
     const std::string& site, core::CostModel model,
     const core::ContentionStates& states, core::QueryClassId class_id) {
   catalog_.Register(site, std::move(model));
-  {
-    auto& shard = counters_.Local();
-    shard.Add(shard.catalog_swaps);
-  }
+  counters_.Local().Add(RuntimeCounter::catalog_swaps);
   newest_class_[site] = class_id;
   // A freshly registered model is by definition not stale.
   SetModelStaleLocked(site, class_id, false);
@@ -151,10 +162,7 @@ bool EstimationService::ApplyAdaptedModel(const std::string& site,
       [&site, &model](core::GlobalCatalog& catalog) {
         catalog.Register(site, std::move(model));
       });
-  {
-    auto& shard = counters_.Local();
-    shard.Add(shard.adaptations_applied);
-  }
+  counters_.Local().Add(RuntimeCounter::adaptations_applied);
   // Only the swapped states' rows changed; every other state's cached
   // responses stay bit-correct under the preserved revision.
   for (const int state : changed_states) {
@@ -197,16 +205,15 @@ void EstimationService::RegisterSite(const std::string& site,
   }
   auto next = std::make_shared<TrackerMap>(*current);
   (*next)[site] = tracker;
-  RetiredTrackerTotals replaced_captured;
+  RuntimeCounters::Tally replaced_folded;
   if (replaced != nullptr) {
-    // Replacing unpublishes the old tracker: swap and fold its counts
-    // under one retired_mutex_ hold (see the RetiredTrackerTotals
-    // atomicity contract), or a racing Stats() momentarily loses — or
-    // double-counts — the old tracker's history.
+    // Replacing unpublishes the old tracker: swap and fold its rows under
+    // one retired_mutex_ hold (see the retired_ atomicity contract), or a
+    // racing Stats() momentarily loses — or double-counts — the old
+    // tracker's history.
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
     trackers_.Publish(TrackerMapSnapshot(std::move(next)));
-    replaced_captured = CaptureTrackerTotals(*replaced);
-    AddRetiredTotalsLocked(replaced_captured);
+    FoldTrackerLocked(*replaced, &replaced_folded);
   } else {
     trackers_.Publish(TrackerMapSnapshot(std::move(next)));
   }
@@ -237,8 +244,7 @@ void EstimationService::RegisterSite(const std::string& site,
     replaced->Stop();
     // In-flight probe completions between the fold and the join, as above.
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-    AddRetiredTotalsLocked(
-        TotalsDelta(CaptureTrackerTotals(*replaced), replaced_captured));
+    FoldTrackerLocked(*replaced, &replaced_folded);
   }
   cache_.InvalidateSite(site);
 }
@@ -255,20 +261,19 @@ void EstimationService::UnregisterSite(const std::string& site) {
   // snapshot (and any cache entry pins) keep the tracker object alive until
   // they drain, so nothing here frees memory a reader can still touch.
   std::shared_ptr<ContentionTracker> retired;
-  RetiredTrackerTotals captured;
+  RuntimeCounters::Tally folded;
   const TrackerMapSnapshot current = trackers_.load();
   if (const auto it = current->find(site); it != current->end()) {
     retired = it->second;
     auto next = std::make_shared<TrackerMap>(*current);
     next->erase(site);
-    // Unpublish and fold under one retired_mutex_ hold (see the
-    // RetiredTrackerTotals atomicity contract): a Stats() racing this
-    // block sees the tracker's history either live in the map or already
-    // in the retired totals — never in neither, never in both.
+    // Unpublish and fold under one retired_mutex_ hold (see the retired_
+    // atomicity contract): a Stats() racing this block sees the tracker's
+    // history either live in the map or already in the retired totals —
+    // never in neither, never in both.
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
     trackers_.Publish(TrackerMapSnapshot(std::move(next)));
-    captured = CaptureTrackerTotals(*retired);
-    AddRetiredTotalsLocked(captured);
+    FoldTrackerLocked(*retired, &folded);
   }
 
   // Drop every (site, class) model. The snapshot swap bumps the catalog
@@ -288,8 +293,7 @@ void EstimationService::UnregisterSite(const std::string& site) {
   if (had_models) {
     catalog_.Update(
         [&site](core::GlobalCatalog& catalog) { catalog.Unregister(site); });
-    auto& shard = counters_.Local();
-    shard.Add(shard.catalog_swaps);
+    counters_.Local().Add(RuntimeCounter::catalog_swaps);
   }
 
   // Clear the site's stale-model flags so the stale_models gauge cannot
@@ -317,14 +321,14 @@ void EstimationService::UnregisterSite(const std::string& site) {
     // Stop() joins the background prober (and abandons a probe past its
     // deadline) — same blocking contract as the replace path above. Probes
     // that were still in flight at unpublication complete during the join;
-    // fold whatever they added after the capture.
+    // fold whatever they added after the first fold.
     retired->Stop();
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-    AddRetiredTotalsLocked(TotalsDelta(CaptureTrackerTotals(*retired), captured));
+    FoldTrackerLocked(*retired, &folded);
   }
   if (retired != nullptr || had_models || had_class) {
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-    ++sites_retired_;
+    ++retired_[RuntimeCounter::sites_retired];
   }
   cache_.InvalidateSite(site);
 }
@@ -386,38 +390,13 @@ bool EstimationService::IsModelStale(const std::string& site,
              std::make_pair(site, static_cast<int>(class_id))) > 0;
 }
 
-EstimationService::RetiredTrackerTotals EstimationService::CaptureTrackerTotals(
-    const ContentionTracker& tracker) {
-  RetiredTrackerTotals totals;
-  totals.probes = tracker.probes() + tracker.failures();
-  totals.failures = tracker.failures();
-  totals.discards = tracker.discarded();
-  totals.timeouts = tracker.timeouts();
-  totals.suppressed = tracker.suppressed();
-  totals.breaker_opens = tracker.breaker().opens();
-  return totals;
-}
-
-EstimationService::RetiredTrackerTotals EstimationService::TotalsDelta(
-    const RetiredTrackerTotals& now, const RetiredTrackerTotals& then) {
-  RetiredTrackerTotals delta;
-  delta.probes = now.probes - then.probes;
-  delta.failures = now.failures - then.failures;
-  delta.discards = now.discards - then.discards;
-  delta.timeouts = now.timeouts - then.timeouts;
-  delta.suppressed = now.suppressed - then.suppressed;
-  delta.breaker_opens = now.breaker_opens - then.breaker_opens;
-  return delta;
-}
-
-void EstimationService::AddRetiredTotalsLocked(
-    const RetiredTrackerTotals& totals) {
-  retired_.probes += totals.probes;
-  retired_.failures += totals.failures;
-  retired_.discards += totals.discards;
-  retired_.timeouts += totals.timeouts;
-  retired_.suppressed += totals.suppressed;
-  retired_.breaker_opens += totals.breaker_opens;
+void EstimationService::FoldTrackerLocked(const ContentionTracker& tracker,
+                                          RuntimeCounters::Tally* folded) {
+  const RuntimeCounters::Tally now = TrackerRows(tracker);
+  for (size_t i = 0; i < kNumRuntimeCounters; ++i) {
+    retired_.values[i] += now.values[i] - folded->values[i];
+  }
+  *folded = now;
 }
 
 std::shared_ptr<ContentionTracker> EstimationService::FindTracker(
@@ -427,49 +406,16 @@ std::shared_ptr<ContentionTracker> EstimationService::FindTracker(
   return it == map->end() ? nullptr : it->second;
 }
 
-void EstimationService::FlushCounts(const LocalCounts& counts) const {
-  // Shard::Add is a plain store on the calling thread's own shard — the
-  // whole flush performs no shared atomic RMW (unless the registry is
-  // exhausted and this thread landed on the overflow shard).
-  auto& shard = counters_.Local();
-  if (counts.requests > 0) shard.Add(shard.requests, counts.requests);
-  if (counts.probe_cache_hits > 0) {
-    shard.Add(shard.probe_cache_hits, counts.probe_cache_hits);
-  }
-  if (counts.probe_cache_stale > 0) {
-    shard.Add(shard.probe_cache_stale, counts.probe_cache_stale);
-  }
-  if (counts.probe_cache_misses > 0) {
-    shard.Add(shard.probe_cache_misses, counts.probe_cache_misses);
-  }
-  if (counts.no_model > 0) shard.Add(shard.no_model, counts.no_model);
-  if (counts.stale_model_served > 0) {
-    shard.Add(shard.stale_model_served, counts.stale_model_served);
-  }
-  if (counts.invalid_requests > 0) {
-    shard.Add(shard.invalid_requests, counts.invalid_requests);
-  }
-  if (counts.degraded_served > 0) {
-    shard.Add(shard.degraded_served, counts.degraded_served);
-  }
-  if (counts.estimate_cache_hits > 0) {
-    shard.Add(shard.estimate_cache_hits, counts.estimate_cache_hits);
-  }
-  if (counts.estimate_cache_misses > 0) {
-    shard.Add(shard.estimate_cache_misses, counts.estimate_cache_misses);
-  }
-}
-
 bool EstimationService::ResolveProbe(const EstimateRequest& request,
                                      const ProbeReading* cached_reading,
                                      EstimateResponse& response,
-                                     LocalCounts& counts) const {
+                                     RuntimeCounters::Tally& counts) const {
   if (request.probing_cost >= 0.0) {
     response.probing_cost = request.probing_cost;
     return true;
   }
   if (cached_reading == nullptr || !cached_reading->has_value) {
-    ++counts.probe_cache_misses;
+    ++counts[RuntimeCounter::probe_cache_misses];
     response.status = EstimateStatus::kNoProbe;
     return false;
   }
@@ -477,29 +423,26 @@ bool EstimationService::ResolveProbe(const EstimateRequest& request,
   response.stale_probe = cached_reading->stale;
   if (cached_reading->degraded) {
     response.degraded = true;
-    ++counts.degraded_served;
+    ++counts[RuntimeCounter::degraded_served];
   }
-  if (cached_reading->stale) {
-    ++counts.probe_cache_stale;
-  } else {
-    ++counts.probe_cache_hits;
-  }
+  ++counts[cached_reading->stale ? RuntimeCounter::probe_cache_stale
+                                 : RuntimeCounter::probe_cache_hits];
   return true;
 }
 
 EstimateResponse EstimationService::EstimateWithSnapshot(
     const core::GlobalCatalog& catalog, const StaleKeySet& stale_keys,
     const EstimateRequest& request, const ProbeReading* cached_reading,
-    LocalCounts& counts) const {
+    RuntimeCounters::Tally& counts) const {
   EstimateResponse response;
-  ++counts.requests;
+  ++counts[RuntimeCounter::requests];
 
   // Serving reads only the compiled per-state table — never the model's
   // derivation-side DesignLayout.
   const core::CompiledEquations* equations =
       catalog.FindCompiled(request.site, request.class_id);
   if (equations == nullptr) {
-    ++counts.no_model;
+    ++counts[RuntimeCounter::no_model];
     response.status = EstimateStatus::kNoModel;
     return response;
   }
@@ -507,7 +450,7 @@ EstimateResponse EstimationService::EstimateWithSnapshot(
       stale_keys.count(std::make_pair(
           request.site, static_cast<int>(request.class_id))) > 0) {
     response.stale_model = true;
-    ++counts.stale_model_served;
+    ++counts[RuntimeCounter::stale_model_served];
   }
   if (!ResolveProbe(request, cached_reading, response, counts)) {
     return response;
@@ -557,8 +500,7 @@ EstimateResponse EstimationService::Estimate(
   // Validate before anything shared is touched — a NaN feature vector must
   // never become an estimate-cache key or a served estimate.
   if (!RequestIsValid(request)) {
-    auto& shard = counters_.Local();
-    shard.Add(shard.invalid_requests);
+    counters_.Local().Add(RuntimeCounter::invalid_requests);
     EstimateResponse response;
     response.status = EstimateStatus::kInvalidRequest;
     return response;
@@ -598,8 +540,7 @@ EstimateResponse EstimationService::Estimate(
     EstimateResponse response;
     if (cache_.Lookup(request.site, static_cast<int>(request.class_id),
                       request.features, catalog_.version(), &response)) {
-      auto& shard = counters_.Local();
-      shard.Add(shard.estimate_cache_hits);
+      counters_.Local().Add(RuntimeCounter::estimate_cache_hits);
       if (armed) {
         estimate_latency_.RecordN(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -641,15 +582,17 @@ EstimateResponse EstimationService::Estimate(
       cached = &reading;
     }
   }
-  LocalCounts counts;
+  RuntimeCounters::Tally counts;
   EstimateResponse response =
       EstimateWithSnapshot(*snapshot, *stale_keys, request, cached, counts);
   if (try_cache) {
-    ++counts.estimate_cache_misses;
+    ++counts[RuntimeCounter::estimate_cache_misses];
     MaybeCacheResponse(*snapshot, request, response, tracker,
                        state_version_before, reading);
   }
-  FlushCounts(counts);
+  // One flush into the calling thread's own shard: plain stores, no shared
+  // atomic RMW (unless this thread landed on the overflow shard).
+  counters_.Local().Add(counts);
   estimate_latency_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::steady_clock::now() - started));
   return response;
@@ -658,10 +601,7 @@ EstimateResponse EstimationService::Estimate(
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) const {
   const auto started = std::chrono::steady_clock::now();
-  {
-    auto& shard = counters_.Local();
-    shard.Add(shard.batches);
-  }
+  counters_.Local().Add(RuntimeCounter::batches);
   std::vector<EstimateResponse> responses(requests.size());
   if (requests.empty()) return responses;
 
@@ -733,7 +673,7 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
         };
         std::vector<MemoEntry> memo;
         memo.reserve(8);
-        LocalCounts counts;
+        RuntimeCounters::Tally counts;
         const auto cache_insert = [&](const EstimateRequest& request,
                                       const EstimateResponse& response) {
           if (!use_cache || request.probing_cost >= 0.0) return;
@@ -746,7 +686,7 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
         for (size_t i = begin; i < end; ++i) {
           const EstimateRequest& request = requests[i];
           if (!RequestIsValid(request)) {
-            ++counts.invalid_requests;
+            ++counts[RuntimeCounter::invalid_requests];
             responses[i].status = EstimateStatus::kInvalidRequest;
             continue;
           }
@@ -754,10 +694,10 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
             if (cache_.Lookup(request.site,
                               static_cast<int>(request.class_id),
                               request.features, epoch, &responses[i])) {
-              ++counts.estimate_cache_hits;
+              ++counts[RuntimeCounter::estimate_cache_hits];
               continue;
             }
-            ++counts.estimate_cache_misses;
+            ++counts[RuntimeCounter::estimate_cache_misses];
           }
           size_t entry_index = memo.size();
           for (size_t m = 0; m < memo.size(); ++m) {
@@ -793,7 +733,7 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
 
           MemoEntry& entry = memo[entry_index];
           EstimateResponse& response = responses[i];
-          ++counts.requests;
+          ++counts[RuntimeCounter::requests];
           if (entry.fast && request.probing_cost < 0.0) {
             // Width-check now (same abort point as the scalar path), defer
             // the arithmetic to the grouped flush below.
@@ -802,13 +742,13 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
             continue;
           }
           if (entry.equations == nullptr) {
-            ++counts.no_model;
+            ++counts[RuntimeCounter::no_model];
             response.status = EstimateStatus::kNoModel;
             continue;
           }
           if (entry.stale_model) {
             response.stale_model = true;
-            ++counts.stale_model_served;
+            ++counts[RuntimeCounter::stale_model_served];
           }
           const ProbeReading* cached =
               request.probing_cost < 0.0 ? entry.probe : nullptr;
@@ -851,26 +791,23 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
             response.estimate_seconds = estimates[g];
             if (entry.degraded) {
               response.degraded = true;
-              ++counts.degraded_served;
+              ++counts[RuntimeCounter::degraded_served];
             }
             if (entry.stale_model) {
               response.stale_model = true;
-              ++counts.stale_model_served;
+              ++counts[RuntimeCounter::stale_model_served];
             }
-            if (entry.stale) {
-              ++counts.probe_cache_stale;
-            } else {
-              ++counts.probe_cache_hits;
-            }
+            ++counts[entry.stale ? RuntimeCounter::probe_cache_stale
+                                 : RuntimeCounter::probe_cache_hits];
             cache_insert(requests[i], response);
           }
         }
-        if (counts.invalid_requests > 0) {
+        const uint64_t invalid = counts[RuntimeCounter::invalid_requests];
+        if (invalid > 0) {
           RmwProbe::Count();
-          invalid_total.fetch_add(counts.invalid_requests,
-                                  std::memory_order_relaxed);
+          invalid_total.fetch_add(invalid, std::memory_order_relaxed);
         }
-        FlushCounts(counts);
+        counters_.Local().Add(counts);
       });
 
   // Amortized per-item latency: the batch's wall time spread over the items
@@ -961,35 +898,29 @@ PlacementResult EstimationService::ChoosePlacement(
   }
 
   auto& shard = counters_.Local();
-  shard.Add(shard.placements);
+  shard.Add(RuntimeCounter::placements);
   // The payoff counter: a distribution-aware policy actually overrode the
   // point-estimate argmin for this decision.
   if (options.ranking.policy != core::PlacementPolicy::kPointEstimate &&
       result.chosen >= 0 && result.chosen != point_chosen) {
-    shard.Add(shard.placement_expected_cost_wins);
+    shard.Add(RuntimeCounter::placement_expected_cost_wins);
   }
   return result;
 }
 
 RuntimeStatsSnapshot EstimationService::Stats() const {
   RuntimeStatsSnapshot out;
-  counters_.AggregateInto(out);
+  RuntimeCounters::Tally rows = counters_.Sum();
   // Hold retired_mutex_ across BOTH the live-tracker sweep and the retired
-  // fold below: unpublication and fold happen under one hold of the same
-  // mutex (the RetiredTrackerTotals atomicity contract), so each tracker's
-  // history lands in exactly one of the two sums.
+  // fold: unpublication and fold happen under one hold of the same mutex
+  // (the retired_ atomicity contract), so each tracker's history lands in
+  // exactly one of the two sums.
   std::lock_guard<std::mutex> retired_lock(retired_mutex_);
-  // Probes are counted at the trackers (background and ProbeNow alike):
-  // `probes` = attempts, of which `probe_failures` kept the old reading.
+  rows += retired_;
   const TrackerMapSnapshot map = trackers_.load();
   for (const auto& [site, tracker] : *map) {
-    out.probes += tracker->probes() + tracker->failures();
-    out.probe_failures += tracker->failures();
-    out.probe_discards += tracker->discarded();
-    out.probe_timeouts += tracker->timeouts();
-    out.probes_suppressed += tracker->suppressed();
-    out.breaker_opens += tracker->breaker().opens();
-    if (tracker->degraded()) ++out.degraded_sites;
+    rows += TrackerRows(*tracker);
+    if (tracker->degraded()) ++rows[RuntimeCounter::degraded_sites];
     // Gauge: sites whose published probe sits inside the soft-membership
     // band of a state boundary — where point estimates are least reliable
     // and distribution-aware placement earns its keep.
@@ -997,7 +928,7 @@ RuntimeStatsSnapshot EstimationService::Stats() const {
     double boundary = 0.0;
     if (tracker->BoundaryDistance(&distance, &boundary) &&
         distance < config_.boundary_band_fraction * std::abs(boundary)) {
-      ++out.near_boundary_sites;
+      ++rows[RuntimeCounter::near_boundary_sites];
     }
     // Gauge: the slowest current per-site cadence (every site probes at
     // least this often; adaptive trackers may be probing faster).
@@ -1005,19 +936,9 @@ RuntimeStatsSnapshot EstimationService::Stats() const {
         std::max(out.probe_interval_ns,
                  static_cast<int64_t>(tracker->current_probe_interval().count()));
   }
-  // Replaced and retired trackers' terminal counts, folded at retirement:
-  // without these, a re-registration or UnregisterSite would make the
-  // monotone probe/breaker counters regress. Still under retired_lock from
-  // above — one consistent view with the live sweep.
-  out.probes += retired_.probes;
-  out.probe_failures += retired_.failures;
-  out.probe_discards += retired_.discards;
-  out.probe_timeouts += retired_.timeouts;
-  out.probes_suppressed += retired_.suppressed;
-  out.breaker_opens += retired_.breaker_opens;
-  out.sites_retired = sites_retired_;
-  out.stale_models = stale_keys_.load()->size();
-  out.estimate_cache_invalidations = cache_.invalidations();
+  rows[RuntimeCounter::stale_models] = stale_keys_.load()->size();
+  rows[RuntimeCounter::estimate_cache_invalidations] = cache_.invalidations();
+  out.AddRows(rows);
   out.estimate_latency = estimate_latency_.Snap();
   out.probe_latency = probe_latency_.Snap();
   return out;

@@ -257,28 +257,6 @@ class EstimationService {
   using StaleKeySet = std::set<std::pair<std::string, int>>;
   using StaleKeySnapshot = std::shared_ptr<const StaleKeySet>;
 
-  // Counter deltas accumulated on the stack during a request or chunk and
-  // flushed to the sharded counters once — the hot path performs no atomic
-  // RMW per estimate beyond the flush.
-  struct LocalCounts {
-    uint64_t requests = 0;
-    uint64_t probe_cache_hits = 0;
-    uint64_t probe_cache_stale = 0;
-    uint64_t probe_cache_misses = 0;
-    uint64_t no_model = 0;
-    uint64_t stale_model_served = 0;
-    uint64_t invalid_requests = 0;
-    // Responses priced from a degraded site (breaker open or half-open).
-    uint64_t degraded_served = 0;
-    // Estimate-cache hits bump only this (not requests): the hit path pays
-    // exactly one per-thread counter store — no shared atomic RMW.
-    // Aggregation folds hits back into requests.
-    uint64_t estimate_cache_hits = 0;
-    uint64_t estimate_cache_misses = 0;
-  };
-
-  void FlushCounts(const LocalCounts& counts) const;
-
   // The site's tracker, or nullptr (lock-free snapshot read).
   std::shared_ptr<ContentionTracker> FindTracker(const std::string& site) const;
 
@@ -286,13 +264,14 @@ class EstimationService {
   // reading (counting hit/stale/miss into `counts`).
   bool ResolveProbe(const EstimateRequest& request,
                     const ProbeReading* cached_reading,
-                    EstimateResponse& response, LocalCounts& counts) const;
+                    EstimateResponse& response,
+                    RuntimeCounters::Tally& counts) const;
 
   EstimateResponse EstimateWithSnapshot(const core::GlobalCatalog& catalog,
                                         const StaleKeySet& stale_keys,
                                         const EstimateRequest& request,
                                         const ProbeReading* cached_reading,
-                                        LocalCounts& counts) const;
+                                        RuntimeCounters::Tally& counts) const;
 
   // Caches `response` keyed under `catalog`'s revision if it is cacheable:
   // served OK from a fresh tracker reading. `state_version_before` is the
@@ -335,44 +314,30 @@ class EstimationService {
   // RegisterSite wires into a new tracker.
   std::map<std::string, core::QueryClassId> newest_class_;
 
-  // Terminal counter totals of trackers that were replaced (RegisterSite)
-  // or retired (UnregisterSite). Stats() adds these to the live trackers'
-  // counts so probe/breaker counters never regress across site churn.
-  // Guarded by retired_mutex_ (its own mutex so Stats() never contends
-  // with — or deadlocks against — control-plane calls that join probers
-  // while holding control_mutex_).
+  // Terminal rows of trackers that were replaced (RegisterSite) or retired
+  // (UnregisterSite), plus the sites_retired row. Stats() adds these to the
+  // live trackers' rows so probe/breaker counters never regress across site
+  // churn. Guarded by retired_mutex_ (its own mutex so Stats() never
+  // contends with — or deadlocks against — control-plane calls that join
+  // probers while holding control_mutex_).
   //
   // Atomicity contract: a tracker's unpublication from trackers_ and the
-  // fold of its counts into retired_ happen under ONE retired_mutex_ hold,
+  // fold of its rows into retired_ happen under ONE retired_mutex_ hold,
   // and Stats() reads the map and retired_ under that same mutex — so at
   // every observable instant a tracker's history is counted in exactly one
   // of the two. (Unpublish-then-fold made the tracker's whole history
   // vanish from a Stats() racing the gap; fold-then-unpublish would double
   // count it. Both read as counter regressions to a monotonicity
-  // watchdog.) Counts a still-draining probe adds between the fold and
-  // Stop() are folded afterwards as a delta.
-  struct RetiredTrackerTotals {
-    uint64_t probes = 0;
-    uint64_t failures = 0;
-    uint64_t discards = 0;
-    uint64_t timeouts = 0;
-    uint64_t suppressed = 0;
-    uint64_t breaker_opens = 0;
-  };
-  // A tracker's terminal counter values, in retired-totals form (probes
-  // includes failures, matching the Stats() aggregation).
-  static RetiredTrackerTotals CaptureTrackerTotals(
-      const ContentionTracker& tracker);
-  // Field-wise now - then; `then` must be an earlier capture of the same
-  // tracker.
-  static RetiredTrackerTotals TotalsDelta(const RetiredTrackerTotals& now,
-                                          const RetiredTrackerTotals& then);
-  // Caller must hold retired_mutex_.
-  void AddRetiredTotalsLocked(const RetiredTrackerTotals& totals);
+  // watchdog.) Rows a still-draining probe adds between the fold and
+  // Stop() are folded afterwards by a second FoldTrackerLocked.
+  //
+  // Adds what `tracker` counted since `*folded` to retired_ and advances
+  // `*folded`. Caller must hold retired_mutex_.
+  void FoldTrackerLocked(const ContentionTracker& tracker,
+                         RuntimeCounters::Tally* folded);
 
   mutable std::mutex retired_mutex_;
-  RetiredTrackerTotals retired_;
-  uint64_t sites_retired_ = 0;
+  RuntimeCounters::Tally retired_;
 
   // Process-unique identity for this service instance. The hit-latency
   // sampler keeps its window state in a function-scope thread_local; tagging

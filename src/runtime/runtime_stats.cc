@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/str_util.h"
-#include "runtime/rmw_probe.h"
 
 namespace mscm::runtime {
 
@@ -21,14 +20,6 @@ int BucketOf(int64_t ns) {
 double BucketMidSeconds(int bucket) {
   // Geometric midpoint of [2^b, 2^(b+1)) ns.
   return std::ldexp(1.0, bucket) * std::sqrt(2.0) * 1e-9;
-}
-
-// Single-writer increment: the owning thread is the only writer, so a plain
-// load+store is race-free and costs no atomic RMW instruction; the atomic
-// type keeps concurrent aggregator loads well-defined.
-inline void StoreAdd(std::atomic<uint64_t>& field, uint64_t n) {
-  field.store(field.load(std::memory_order_relaxed) + n,
-              std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -158,167 +149,52 @@ std::string LatencyHistogram::Snapshot::ToString() const {
                 p50_seconds * 1e6, p90_seconds * 1e6, p99_seconds * 1e6);
 }
 
+void RuntimeStatsSnapshot::AddRows(const RuntimeCounters::Tally& rows) {
+  const auto fields = StatsCounterFields();
+  for (size_t i = 0; i < fields.size(); ++i) {
+    this->*fields[i].field += rows.values[i];
+  }
+  requests += rows[RuntimeCounter::estimate_cache_hits];
+}
+
 std::string RuntimeStatsSnapshot::ToString() const {
-  std::string out = Format(
-      "requests=%llu batches=%llu probe_cache{hit=%llu stale=%llu miss=%llu} "
-      "estimate_cache{hit=%llu miss=%llu invalidated=%llu} "
-      "no_model=%llu invalid_requests=%llu probes=%llu probe_interval=%.3gms "
-      "probe_failures=%llu probe_discards=%llu probe_timeouts=%llu "
-      "probes_suppressed=%llu breaker_opens=%llu degraded_sites=%llu "
-      "degraded_served=%llu "
-      "catalog_swaps=%llu adaptations_applied=%llu stale_models=%llu "
-      "stale_model_served=%llu "
-      "placements=%llu placement_expected_cost_wins=%llu "
-      "near_boundary_sites=%llu sites_retired=%llu\n",
-      static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(batches),
-      static_cast<unsigned long long>(probe_cache_hits),
-      static_cast<unsigned long long>(probe_cache_stale),
-      static_cast<unsigned long long>(probe_cache_misses),
-      static_cast<unsigned long long>(estimate_cache_hits),
-      static_cast<unsigned long long>(estimate_cache_misses),
-      static_cast<unsigned long long>(estimate_cache_invalidations),
-      static_cast<unsigned long long>(no_model),
-      static_cast<unsigned long long>(invalid_requests),
-      static_cast<unsigned long long>(probes),
-      static_cast<double>(probe_interval_ns) * 1e-6,
-      static_cast<unsigned long long>(probe_failures),
-      static_cast<unsigned long long>(probe_discards),
-      static_cast<unsigned long long>(probe_timeouts),
-      static_cast<unsigned long long>(probes_suppressed),
-      static_cast<unsigned long long>(breaker_opens),
-      static_cast<unsigned long long>(degraded_sites),
-      static_cast<unsigned long long>(degraded_served),
-      static_cast<unsigned long long>(catalog_swaps),
-      static_cast<unsigned long long>(adaptations_applied),
-      static_cast<unsigned long long>(stale_models),
-      static_cast<unsigned long long>(stale_model_served),
-      static_cast<unsigned long long>(placements),
-      static_cast<unsigned long long>(placement_expected_cost_wins),
-      static_cast<unsigned long long>(near_boundary_sites),
-      static_cast<unsigned long long>(sites_retired));
+  std::string out;
+  for (const auto& row : StatsCounterFields()) {
+    out += Format("%s=%llu ", row.name,
+                  static_cast<unsigned long long>(this->*row.field));
+  }
+  for (const auto& gauge : StatsGaugeFields()) {
+    out += Format("%s=%lld ", gauge.name,
+                  static_cast<long long>(this->*gauge.field));
+  }
+  out.back() = '\n';
   out += "estimate latency: " + estimate_latency.ToString() + "\n";
   out += "probe latency:    " + probe_latency.ToString();
   return out;
 }
 
-const std::vector<StatsCounterField>& StatsCounterFields() {
+std::span<const StatsCounterField> StatsCounterFields() {
   using S = RuntimeStatsSnapshot;
-  static const std::vector<StatsCounterField>* fields =
-      new std::vector<StatsCounterField>{
-          {"requests", &S::requests},
-          {"batches", &S::batches},
-          {"probe_cache_hits", &S::probe_cache_hits},
-          {"probe_cache_stale", &S::probe_cache_stale},
-          {"probe_cache_misses", &S::probe_cache_misses},
-          {"no_model", &S::no_model},
-          {"probes", &S::probes},
-          {"probe_failures", &S::probe_failures},
-          {"probe_discards", &S::probe_discards},
-          {"probe_timeouts", &S::probe_timeouts},
-          {"probes_suppressed", &S::probes_suppressed},
-          {"breaker_opens", &S::breaker_opens},
-          {"degraded_sites", &S::degraded_sites},
-          {"degraded_served", &S::degraded_served},
-          {"invalid_requests", &S::invalid_requests},
-          {"catalog_swaps", &S::catalog_swaps},
-          {"stale_model_served", &S::stale_model_served},
-          {"stale_models", &S::stale_models},
-          {"estimate_cache_hits", &S::estimate_cache_hits},
-          {"estimate_cache_misses", &S::estimate_cache_misses},
-          {"estimate_cache_invalidations", &S::estimate_cache_invalidations},
-          {"placements", &S::placements},
-          {"placement_expected_cost_wins", &S::placement_expected_cost_wins},
-          {"near_boundary_sites", &S::near_boundary_sites},
-          {"adaptations_applied", &S::adaptations_applied},
-          {"sites_retired", &S::sites_retired},
-      };
-  return *fields;
+  static constexpr StatsCounterField kRows[] = {
+      MSCM_RUNTIME_COUNTERS(MSCM_COUNTER_ROW)};
+  return kRows;
 }
 
-const std::vector<StatsGaugeField>& StatsGaugeFields() {
+std::span<const StatsGaugeField> StatsGaugeFields() {
   using S = RuntimeStatsSnapshot;
-  static const std::vector<StatsGaugeField>* fields =
-      new std::vector<StatsGaugeField>{
-          {"probe_interval_ns", &S::probe_interval_ns},
-      };
-  return *fields;
-}
-
-const std::vector<StatsHistogramField>& StatsHistogramFields() {
-  using S = RuntimeStatsSnapshot;
-  static const std::vector<StatsHistogramField>* fields =
-      new std::vector<StatsHistogramField>{
-          {"estimate_latency", &S::estimate_latency},
-          {"probe_latency", &S::probe_latency},
-      };
-  return *fields;
-}
-
-void RuntimeCounters::Shard::Add(std::atomic<uint64_t>& field, uint64_t n) {
-  if (shared_writers) {
-    RmwProbe::Count();
-    field.fetch_add(n, std::memory_order_relaxed);
-  } else {
-    StoreAdd(field, n);
-  }
-}
-
-RuntimeCounters::RuntimeCounters() { overflow_.shared_writers = true; }
-
-RuntimeCounters::~RuntimeCounters() {
-  for (auto& slot : slots_) {
-    delete slot.load(std::memory_order_acquire);
-  }
-}
-
-RuntimeCounters::Shard& RuntimeCounters::Local() {
-  const int slot = ThreadRegistry::CurrentSlot();
-  if (slot < 0) return overflow_;
-  Shard* shard = slots_[slot].load(std::memory_order_acquire);
-  if (shard == nullptr) {
-    shard = new Shard();
-    slots_[slot].store(shard, std::memory_order_release);
-  }
-  return *shard;
-}
-
-void RuntimeCounters::AggregateInto(RuntimeStatsSnapshot& out) const {
-  auto fold = [&out](const Shard& s) {
-    const uint64_t cache_hits =
-        s.estimate_cache_hits.load(std::memory_order_relaxed);
-    // The estimate-cache hit path bumps exactly one counter; a hit is still
-    // a served request, so fold it back in here.
-    out.estimate_cache_hits += cache_hits;
-    out.requests += cache_hits;
-    out.estimate_cache_misses +=
-        s.estimate_cache_misses.load(std::memory_order_relaxed);
-    out.requests += s.requests.load(std::memory_order_relaxed);
-    out.batches += s.batches.load(std::memory_order_relaxed);
-    out.probe_cache_hits += s.probe_cache_hits.load(std::memory_order_relaxed);
-    out.probe_cache_stale += s.probe_cache_stale.load(std::memory_order_relaxed);
-    out.probe_cache_misses += s.probe_cache_misses.load(std::memory_order_relaxed);
-    out.no_model += s.no_model.load(std::memory_order_relaxed);
-    out.probes += s.probes.load(std::memory_order_relaxed);
-    out.probe_failures += s.probe_failures.load(std::memory_order_relaxed);
-    out.catalog_swaps += s.catalog_swaps.load(std::memory_order_relaxed);
-    out.adaptations_applied +=
-        s.adaptations_applied.load(std::memory_order_relaxed);
-    out.stale_model_served +=
-        s.stale_model_served.load(std::memory_order_relaxed);
-    out.degraded_served += s.degraded_served.load(std::memory_order_relaxed);
-    out.invalid_requests +=
-        s.invalid_requests.load(std::memory_order_relaxed);
-    out.placements += s.placements.load(std::memory_order_relaxed);
-    out.placement_expected_cost_wins +=
-        s.placement_expected_cost_wins.load(std::memory_order_relaxed);
+  static constexpr StatsGaugeField kFields[] = {
+      {"probe_interval_ns", &S::probe_interval_ns},
   };
-  for (const auto& slot : slots_) {
-    if (const Shard* shard = slot.load(std::memory_order_acquire)) {
-      fold(*shard);
-    }
-  }
-  fold(overflow_);
+  return kFields;
+}
+
+std::span<const StatsHistogramField> StatsHistogramFields() {
+  using S = RuntimeStatsSnapshot;
+  static constexpr StatsHistogramField kFields[] = {
+      {"estimate_latency", &S::estimate_latency},
+      {"probe_latency", &S::probe_latency},
+  };
+  return kFields;
 }
 
 }  // namespace mscm::runtime

@@ -1,22 +1,35 @@
-// Runtime observability for the online estimation service: truly per-thread
-// counters and latency histograms (one stripe per ThreadRegistry slot, so a
-// recording thread touches only cache lines it owns — zero shared atomic
-// RMWs) with lazy aggregation at snapshot time. Everything here is safe to
-// update from many threads and to snapshot concurrently; snapshots are
-// monotone but not atomic across counters.
+// Runtime observability for the online estimation service: counter tables
+// and latency histograms, both kept on per-thread shards (one per
+// ThreadRegistry slot, so a recording thread touches only cache lines it
+// owns — zero shared atomic RMWs) and summed lazily at snapshot time. A
+// counter table declares each counter once, as one row of its owner's row
+// list (MSCM_RUNTIME_COUNTERS below; the server's MSCM_NET_COUNTERS in
+// net/server.h). Everything here is safe to update from many threads and to
+// snapshot concurrently; snapshots are monotone but not atomic across
+// counters.
 
 #ifndef MSCM_RUNTIME_RUNTIME_STATS_H_
 #define MSCM_RUNTIME_RUNTIME_STATS_H_
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
+#include "runtime/rmw_probe.h"
 #include "runtime/thread_registry.h"
 
 namespace mscm::runtime {
+
+// Single-writer increment: the owning thread is the only writer, so a plain
+// load+store is race-free and costs no atomic RMW instruction; the atomic
+// type keeps concurrent aggregator loads well-defined.
+inline void StoreAdd(std::atomic<uint64_t>& field, uint64_t n) {
+  field.store(field.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+}
 
 // Histogram over latencies with power-of-two nanosecond buckets: bucket i
 // holds samples in [2^i, 2^(i+1)) ns, bucket 0 also absorbs sub-ns samples.
@@ -87,58 +100,194 @@ class LatencyHistogram {
   Stripe overflow_;
 };
 
+// ---- Counter tables ---------------------------------------------------------
+//
+// Each owner declares its counters once, as rows of an X-macro:
+// ROW(name, kind). `name` is at once the snapshot field, the wire key and
+// the printed name; `kind` says whether the row only ever grows (kCounter)
+// or reads a level that may fall (kGauge). The row list is expanded into
+// the snapshot's fields, the row enum that indexes per-thread shards, and
+// the table serializers and printers loop over. Adding a counter is one row
+// plus its increment.
+
+enum class StatKind : uint8_t { kCounter, kGauge };
+
+template <typename Snapshot>
+struct CounterRow {
+  const char* name;
+  StatKind kind;
+  uint64_t Snapshot::*field;
+};
+
+// Row-list expanders. MSCM_COUNTER_ROW must be expanded where `S` names the
+// owner's snapshot type.
+#define MSCM_COUNTER_FIELD(name, kind) uint64_t name = 0;
+#define MSCM_COUNTER_ENUM(name, kind) name,
+#define MSCM_COUNTER_ONE(name, kind) +1
+#define MSCM_COUNTER_ROW(name, kind) \
+  {#name, ::mscm::runtime::StatKind::kind, &S::name},
+
+// One owner's counter rows, one shard per live thread (ThreadRegistry
+// slot), so a counting thread only ever writes cache lines it owns. Shard
+// values are std::atomic so Sum() may load them concurrently, but the owning
+// thread bumps them with a plain load+store, not an atomic RMW (single
+// writer). Threads beyond the registry capacity share one overflow shard
+// whose Add() degrades to fetch_add (counted by RmwProbe).
+//
+// Shards are cumulative and survive their owner: a thread that exits leaves
+// its totals in place for the slot's next owner to keep extending, so Sum()
+// conserves every increment across thread churn.
+template <typename Row, size_t N>
+class ShardedCounters {
+ public:
+  // Row values off the shards: a request's counts tallied on the stack and
+  // flushed with one Add(), or a Sum() of every shard.
+  struct Tally {
+    uint64_t& operator[](Row row) { return values[static_cast<size_t>(row)]; }
+    uint64_t operator[](Row row) const {
+      return values[static_cast<size_t>(row)];
+    }
+    Tally& operator+=(const Tally& other) {
+      for (size_t i = 0; i < N; ++i) values[i] += other.values[i];
+      return *this;
+    }
+
+    uint64_t values[N] = {};
+  };
+
+  struct alignas(64) Shard {
+    // Increment for the shard's owner: plain load+store on a per-thread
+    // shard, fetch_add on the shared overflow shard.
+    void Add(Row row, uint64_t n = 1) { AddAt(static_cast<size_t>(row), n); }
+    void Add(const Tally& tally) {
+      for (size_t i = 0; i < N; ++i) {
+        if (tally.values[i] != 0) AddAt(i, tally.values[i]);
+      }
+    }
+
+    std::atomic<uint64_t> values[N] = {};
+    bool shared_writers = false;  // true only for the overflow shard
+
+   private:
+    void AddAt(size_t i, uint64_t n) {
+      if (shared_writers) {
+        RmwProbe::Count();
+        values[i].fetch_add(n, std::memory_order_relaxed);
+      } else {
+        StoreAdd(values[i], n);
+      }
+    }
+  };
+
+  ShardedCounters() { overflow_.shared_writers = true; }
+  ~ShardedCounters() {
+    for (auto& slot : slots_) delete slot.load(std::memory_order_acquire);
+  }
+
+  ShardedCounters(const ShardedCounters&) = delete;
+  ShardedCounters& operator=(const ShardedCounters&) = delete;
+
+  // The calling thread's shard: its registry slot's shard (single writer),
+  // or the shared overflow shard when the registry is exhausted.
+  Shard& Local() {
+    const int slot = ThreadRegistry::CurrentSlot();
+    if (slot < 0) return overflow_;
+    Shard* shard = slots_[slot].load(std::memory_order_acquire);
+    if (shard == nullptr) {
+      shard = new Shard();
+      slots_[slot].store(shard, std::memory_order_release);
+    }
+    return *shard;
+  }
+
+  // Every row summed over all shards: monotone, not atomic across rows.
+  Tally Sum() const {
+    Tally sum;
+    auto fold = [&sum](const Shard& shard) {
+      for (size_t i = 0; i < N; ++i) {
+        sum.values[i] += shard.values[i].load(std::memory_order_relaxed);
+      }
+    };
+    for (const auto& slot : slots_) {
+      if (const Shard* shard = slot.load(std::memory_order_acquire)) {
+        fold(*shard);
+      }
+    }
+    fold(overflow_);
+    return sum;
+  }
+
+ private:
+  std::atomic<Shard*> slots_[ThreadRegistry::kMaxSlots] = {};
+  Shard overflow_;
+};
+
+// The runtime's counter rows, in wire order (net/stats_codec). The names
+// are a wire contract: append-only, never rename, reorder or repurpose one
+// (see DESIGN.md §8). Probe and breaker rows are counted by the site
+// trackers and read at snapshot time; a retired (or replaced) tracker's
+// rows are folded into the service totals, so they stay monotone across
+// site churn.
+#define MSCM_RUNTIME_COUNTERS(ROW)                                            \
+  ROW(requests, kCounter)            /* estimates served, single + batch */   \
+  ROW(batches, kCounter)             /* EstimateBatch calls */                \
+  ROW(probe_cache_hits, kCounter)    /* served from a fresh cached probe */   \
+  ROW(probe_cache_stale, kCounter)   /* ... from a probe past its TTL */      \
+  ROW(probe_cache_misses, kCounter)  /* no cached probe available at all */   \
+  ROW(no_model, kCounter)            /* (site, class) had no model */         \
+  ROW(probes, kCounter)              /* probe attempts, failures included */  \
+  ROW(probe_failures, kCounter)      /* errored probes (kept last state) */   \
+  ROW(probe_discards, kCounter)      /* outrun by a newer probe */            \
+  ROW(probe_timeouts, kCounter)      /* abandoned past their deadline */      \
+  ROW(probes_suppressed, kCounter)   /* rejected by an open breaker */        \
+  ROW(breaker_opens, kCounter)       /* breaker transitions into open */      \
+  ROW(degraded_sites, kGauge)        /* sites whose breaker is not closed */  \
+  ROW(degraded_served, kCounter)     /* priced from a degraded site */        \
+  ROW(invalid_requests, kCounter)    /* rejected at the service boundary */   \
+  ROW(catalog_swaps, kCounter)       /* snapshot publications */              \
+  ROW(stale_model_served, kCounter)  /* priced from a drift-flagged model */  \
+  ROW(stale_models, kGauge)          /* (site, class) keys flagged stale */   \
+  ROW(estimate_cache_hits, kCounter) /* served from the response memo */      \
+  ROW(estimate_cache_misses, kCounter) /* memo consulted, priced anyway */    \
+  ROW(estimate_cache_invalidations, kCounter) /* memo entries evicted */      \
+  ROW(placements, kCounter)          /* ChoosePlacement decisions */          \
+  /* A distribution-aware policy picked another site than the point */        \
+  /* argmin would have: the visible payoff of serving distributions. */       \
+  ROW(placement_expected_cost_wins, kCounter)                                 \
+  ROW(near_boundary_sites, kGauge)   /* probes inside a boundary band */      \
+  /* Streaming-RLS row swaps published (revision-preserving; full */          \
+  /* re-derivations count under catalog_swaps). */                            \
+  ROW(adaptations_applied, kCounter)                                          \
+  ROW(sites_retired, kCounter)       /* sites retired via UnregisterSite */
+
+enum class RuntimeCounter : uint8_t {
+  MSCM_RUNTIME_COUNTERS(MSCM_COUNTER_ENUM)
+};
+inline constexpr size_t kNumRuntimeCounters =
+    0 MSCM_RUNTIME_COUNTERS(MSCM_COUNTER_ONE);
+using RuntimeCounters = ShardedCounters<RuntimeCounter, kNumRuntimeCounters>;
+
 // One snapshot of every service counter, plus the latency histograms.
 struct RuntimeStatsSnapshot {
-  uint64_t requests = 0;           // estimates served (single + batched items)
-  uint64_t batches = 0;            // EstimateBatch calls
-  uint64_t probe_cache_hits = 0;   // served from a fresh cached probe
-  uint64_t probe_cache_stale = 0;  // served from a cached probe past its TTL
-  uint64_t probe_cache_misses = 0; // no cached probe available at all
-  uint64_t no_model = 0;           // (site, class) had no registered model
-  uint64_t probes = 0;             // probing queries run by trackers
-  uint64_t probe_failures = 0;     // probes that errored (kept last state)
-  uint64_t probe_discards = 0;     // probes outrun by a newer one (not published)
-  uint64_t probe_timeouts = 0;     // probes abandoned past their deadline
-  uint64_t probes_suppressed = 0;  // probe attempts rejected by an open breaker
-  uint64_t breaker_opens = 0;      // circuit-breaker transitions into open
-  uint64_t degraded_sites = 0;     // gauge: sites whose breaker is not closed
-  uint64_t degraded_served = 0;    // estimates priced from a degraded site
-  uint64_t invalid_requests = 0;   // requests rejected at the service boundary
-  uint64_t catalog_swaps = 0;      // snapshot publications (model registers)
-  // Streaming-RLS adaptation swaps published (revision-preserving row
-  // swaps; full re-derivations count under catalog_swaps instead).
-  uint64_t adaptations_applied = 0;
-  uint64_t stale_model_served = 0; // estimates served from a drift-flagged model
-  uint64_t stale_models = 0;       // gauge: (site, class) keys currently stale
-  uint64_t estimate_cache_hits = 0;    // estimates served from the response memo
-  uint64_t estimate_cache_misses = 0;  // memo consulted but priced the long way
-  uint64_t estimate_cache_invalidations = 0;  // entries evicted (state/catalog)
-  uint64_t placements = 0;         // ChoosePlacement decisions served
-  // Placements where a distribution-aware policy (expected-cost /
-  // risk-adjusted) picked a different site than the point-estimate argmin
-  // would have — the visible payoff of serving distributions.
-  uint64_t placement_expected_cost_wins = 0;
-  uint64_t near_boundary_sites = 0;  // gauge: probes inside a boundary band
-  // Sites retired via UnregisterSite. Probe/breaker counters from retired
-  // (and replaced) trackers are folded into the totals above at retirement,
-  // so every counter stays monotone across site churn.
-  uint64_t sites_retired = 0;
-  int64_t probe_interval_ns = 0;   // gauge: slowest current per-site cadence
+  MSCM_RUNTIME_COUNTERS(MSCM_COUNTER_FIELD)
+  int64_t probe_interval_ns = 0;  // gauge: slowest current per-site cadence
 
   LatencyHistogram::Snapshot estimate_latency;
   LatencyHistogram::Snapshot probe_latency;
 
+  // Adds each row of `rows` into its field. The cache-hit path bumps only
+  // estimate_cache_hits; a hit is still a served request, so `requests`
+  // takes the hits too.
+  void AddRows(const RuntimeCounters::Tally& rows);
+
   std::string ToString() const;
 };
 
-// Wire-stable enumeration of the snapshot's scalar fields, so serializers
-// (net/stats_codec) and dashboards can address every counter by name without
-// falling out of sync with the struct. The names are a wire contract:
-// append-only — never rename or repurpose one (see DESIGN.md §8).
-struct StatsCounterField {
-  const char* name;
-  uint64_t RuntimeStatsSnapshot::*field;
-};
+// The snapshot's scalar fields by wire name, so serializers (net/
+// stats_codec), printers and dashboards address every value without
+// falling out of sync with the struct. StatsCounterFields() is the
+// MSCM_RUNTIME_COUNTERS table, indexed like RuntimeCounter.
+using StatsCounterField = CounterRow<RuntimeStatsSnapshot>;
 struct StatsGaugeField {
   const char* name;
   int64_t RuntimeStatsSnapshot::*field;
@@ -148,69 +297,9 @@ struct StatsHistogramField {
   LatencyHistogram::Snapshot RuntimeStatsSnapshot::*field;
 };
 
-const std::vector<StatsCounterField>& StatsCounterFields();
-const std::vector<StatsGaugeField>& StatsGaugeFields();
-const std::vector<StatsHistogramField>& StatsHistogramFields();
-
-// The hot-path counters, one shard per live thread (ThreadRegistry slot) so
-// an estimate thread only ever writes cache lines it owns. Shard fields are
-// std::atomic so aggregators may read them concurrently, but the owning
-// thread bumps them with Add() — a plain load+store, not an atomic RMW
-// (single-writer). Threads beyond the registry capacity share one overflow
-// shard whose Add() degrades to fetch_add (counted by RmwProbe).
-//
-// Shards are cumulative and survive their owner: a thread that exits leaves
-// its totals in place for the slot's next owner to keep extending, so
-// AggregateInto() conserves every increment across thread churn.
-class RuntimeCounters {
- public:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> probe_cache_hits{0};
-    std::atomic<uint64_t> probe_cache_stale{0};
-    std::atomic<uint64_t> probe_cache_misses{0};
-    std::atomic<uint64_t> no_model{0};
-    std::atomic<uint64_t> probes{0};
-    std::atomic<uint64_t> probe_failures{0};
-    std::atomic<uint64_t> catalog_swaps{0};
-    std::atomic<uint64_t> adaptations_applied{0};
-    std::atomic<uint64_t> stale_model_served{0};
-    std::atomic<uint64_t> degraded_served{0};
-    std::atomic<uint64_t> invalid_requests{0};
-    // A cache hit bumps only estimate_cache_hits (one per-thread store on
-    // the hit path); aggregation folds hits back into `requests`.
-    std::atomic<uint64_t> estimate_cache_hits{0};
-    std::atomic<uint64_t> estimate_cache_misses{0};
-    std::atomic<uint64_t> placements{0};
-    std::atomic<uint64_t> placement_expected_cost_wins{0};
-
-    // Increment for the shard's owner: plain load+store on a per-thread
-    // shard, fetch_add on the shared overflow shard.
-    void Add(std::atomic<uint64_t>& field, uint64_t n = 1);
-
-    // True only for the overflow shard (concurrent writers).
-    bool shared_writers = false;
-  };
-
-  RuntimeCounters();
-  ~RuntimeCounters();
-
-  RuntimeCounters(const RuntimeCounters&) = delete;
-  RuntimeCounters& operator=(const RuntimeCounters&) = delete;
-
-  // The calling thread's shard: its registry slot's shard (single writer),
-  // or the shared overflow shard when the registry is exhausted.
-  Shard& Local();
-
-  // Sums all shards into `out` (histograms untouched). `requests` reported
-  // includes estimate-cache hits (see Shard::estimate_cache_hits).
-  void AggregateInto(RuntimeStatsSnapshot& out) const;
-
- private:
-  std::atomic<Shard*> slots_[ThreadRegistry::kMaxSlots] = {};
-  Shard overflow_;
-};
+std::span<const StatsCounterField> StatsCounterFields();
+std::span<const StatsGaugeField> StatsGaugeFields();
+std::span<const StatsHistogramField> StatsHistogramFields();
 
 }  // namespace mscm::runtime
 

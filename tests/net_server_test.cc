@@ -269,9 +269,24 @@ TEST_F(NetServerTest, StatsOverLoopback) {
   const RpcStatus status = client.Stats(&stats);
   ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_GE(stats.counters.at("requests"), 1u);
-  // The server merges its own wire counters into the same payload.
+  // The server merges its own wire counters into the same payload. The
+  // names are a wire contract, spelled out rather than read from the table.
   EXPECT_GE(stats.counters.at("net.frames_received"), 1u);
   EXPECT_GE(stats.counters.at("net.responses_sent"), 1u);
+  for (const char* key :
+       {"net.connections_accepted", "net.connections_closed",
+        "net.frames_received", "net.requests_dispatched",
+        "net.requests_completed", "net.responses_sent",
+        "net.error_frames_sent", "net.invalid_requests",
+        "net.malformed_frames", "net.overload_shed", "net.shutdown_shed",
+        "net.dropped_responses", "net.estimates", "net.batches",
+        "net.batch_items", "net.placements", "net.stats_requests",
+        "net.feedback_reports", "net.bytes_received", "net.bytes_sent",
+        "net.connections_rejected", "net.unknown_type_frames",
+        "net.internal_errors", "net.read_limit_closes",
+        "net.write_limit_closes"}) {
+    EXPECT_EQ(stats.counters.count(key), 1u) << key;
+  }
 }
 
 TEST_F(NetServerTest, FeedbackOverLoopbackAdaptsTheServedModel) {
@@ -524,6 +539,16 @@ TEST_F(NetServerTest, UnknownMessageTypeIsAnsweredAndKeptOpen) {
   ASSERT_TRUE(ok_frame.has_value());
   EXPECT_EQ(ok_frame->type,
             static_cast<uint8_t>(MessageType::kEstimateResponse));
+
+  // ...and the stats protocol reports the unknown frame.
+  ASSERT_TRUE(conn.SendAll(EncodeFrame(MessageType::kStatsRequest, 33, {})));
+  auto stats_frame = conn.ReadFrame();
+  ASSERT_TRUE(stats_frame.has_value());
+  ASSERT_EQ(stats_frame->type,
+            static_cast<uint8_t>(MessageType::kStatsResponse));
+  auto stats = DecodeStatsPayload(stats_frame->payload);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GE(stats->counters.at("net.unknown_type_frames"), 1u);
 }
 
 TEST_F(NetServerTest, GarbageBytesGetMalformedFrameThenClose) {
@@ -695,13 +720,17 @@ TEST(NetServerAdmissionTest, WriteLimitDisconnectsPeersThatNeverRead) {
   EXPECT_GE(served.server().Stats().write_limit_closes, 1u);
   EXPECT_TRUE(hog.WaitForClose());
 
-  // Cutting one peer off leaves the server answering everyone else.
+  // Cutting one peer off leaves the server answering everyone else, and an
+  // operator polling the stats protocol sees the cut.
   NetClient other;
   ASSERT_TRUE(other.Connect("127.0.0.1", served.port()));
   EstimateResponse resp;
   ASSERT_TRUE(other.Estimate(ValidRequest(), &resp).ok());
   EXPECT_EQ(resp.status, EstimateStatus::kOk);
   EXPECT_TRUE(served.server().running());
+  WireStats stats;
+  ASSERT_TRUE(other.Stats(&stats).ok());
+  EXPECT_GE(stats.counters.at("net.write_limit_closes"), 1u);
 }
 
 TEST(NetServerAdmissionTest, ConnectionCapRejectsExtraSockets) {
@@ -724,6 +753,11 @@ TEST(NetServerAdmissionTest, ConnectionCapRejectsExtraSockets) {
   if (c.Connect("127.0.0.1", served.port())) {
     EstimateResponse r;
     EXPECT_FALSE(c.Estimate(ValidRequest(), &r).ok());
+    // The server counted the rejection before it hung up; ask through a
+    // connection it kept.
+    WireStats stats;
+    ASSERT_TRUE(a.Stats(&stats).ok());
+    EXPECT_GE(stats.counters.at("net.connections_rejected"), 1u);
   }
   // The first two stay healthy.
   EXPECT_TRUE(a.Estimate(ValidRequest(), &resp).ok());
@@ -752,6 +786,12 @@ TEST(NetServerAdmissionTest, ReadLimitDisconnectsGarbageStreamers) {
   EXPECT_TRUE(conn.WaitForClose());
   EXPECT_GE(served.server().Stats().read_limit_closes, 1u);
   EXPECT_TRUE(served.server().running());
+
+  NetClient operator_conn;
+  ASSERT_TRUE(operator_conn.Connect("127.0.0.1", served.port()));
+  WireStats stats;
+  ASSERT_TRUE(operator_conn.Stats(&stats).ok());
+  EXPECT_GE(stats.counters.at("net.read_limit_closes"), 1u);
 }
 
 }  // namespace

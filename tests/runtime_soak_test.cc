@@ -14,10 +14,9 @@
 // Throughout, the harness checks the lifecycle invariants the runtime
 // promises (DESIGN §7):
 //
-//   * every wire counter in StatsCounterFields() is monotone across churn
-//     (retired trackers fold their totals into the service) — except the
-//     three documented gauges (degraded_sites, stale_models,
-//     near_boundary_sites), which legitimately move both ways;
+//   * every counter row in StatsCounterFields() is monotone across churn
+//     (retired trackers fold their totals into the service) — rows of kind
+//     kGauge legitimately move both ways and are skipped;
 //   * stats conservation: with a cache-enabled service and every request
 //     tracker-resolved (probing_cost < 0), requests ==
 //     estimate_cache_hits + estimate_cache_misses, and the sampled
@@ -41,7 +40,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -83,14 +81,6 @@ std::vector<double> FeatureVector(double x0) {
   std::vector<double> f(core::VariableSet::ForClass(kCls).size(), 0.0);
   f[0] = x0;
   return f;
-}
-
-// The three documented gauge-like snapshot fields; everything else in
-// StatsCounterFields() must be monotone across any amount of site churn.
-bool IsMonotoneCounter(const char* name) {
-  return std::strcmp(name, "degraded_sites") != 0 &&
-         std::strcmp(name, "stale_models") != 0 &&
-         std::strcmp(name, "near_boundary_sites") != 0;
 }
 
 // Observation source over the fleet's ground truth, for churn-domain
@@ -390,7 +380,7 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
     const RuntimeStatsSnapshot cur = service.Stats();
     for (const auto& field : fields) {
-      if (!IsMonotoneCounter(field.name)) continue;
+      if (field.kind != StatKind::kCounter) continue;
       EXPECT_GE(cur.*(field.field), prev.*(field.field))
           << "counter " << field.name << " regressed under churn";
     }

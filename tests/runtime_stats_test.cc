@@ -98,12 +98,12 @@ TEST(LatencyHistogramTest, SnapAfterResetIsEmpty) {
 TEST(RuntimeCountersTest, AggregateFoldsCacheHitsIntoRequests) {
   RuntimeCounters counters;
   RuntimeCounters::Shard& shard = counters.Local();
-  shard.requests.fetch_add(3, std::memory_order_relaxed);
-  shard.estimate_cache_hits.fetch_add(5, std::memory_order_relaxed);
-  shard.estimate_cache_misses.fetch_add(3, std::memory_order_relaxed);
+  shard.Add(RuntimeCounter::requests, 3);
+  shard.Add(RuntimeCounter::estimate_cache_hits, 5);
+  shard.Add(RuntimeCounter::estimate_cache_misses, 3);
 
   RuntimeStatsSnapshot out;
-  counters.AggregateInto(out);
+  out.AddRows(counters.Sum());
   // The hit path bumps only estimate_cache_hits; aggregation reconstructs
   // the total request count.
   EXPECT_EQ(out.requests, 8u);
@@ -180,7 +180,7 @@ TEST(RuntimeCountersTest, AggregationConservesAcrossThreadChurn) {
   std::thread aggregator([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       RuntimeStatsSnapshot snap;
-      counters.AggregateInto(snap);
+      snap.AddRows(counters.Sum());
       std::this_thread::yield();
     }
   });
@@ -190,8 +190,8 @@ TEST(RuntimeCountersTest, AggregationConservesAcrossThreadChurn) {
       bumpers.emplace_back([&counters] {
         RuntimeCounters::Shard& shard = counters.Local();
         for (uint64_t i = 0; i < kPerThread; ++i) {
-          shard.Add(shard.requests);
-          if (i % 2 == 0) shard.Add(shard.probe_cache_hits);
+          shard.Add(RuntimeCounter::requests);
+          if (i % 2 == 0) shard.Add(RuntimeCounter::probe_cache_hits);
         }
       });
     }
@@ -200,7 +200,7 @@ TEST(RuntimeCountersTest, AggregationConservesAcrossThreadChurn) {
   stop.store(true);
   aggregator.join();
   RuntimeStatsSnapshot out;
-  counters.AggregateInto(out);
+  out.AddRows(counters.Sum());
   // Five generations of threads reused the same registry slots; cumulative
   // shards must conserve every increment.
   EXPECT_EQ(out.requests, kWaves * kThreads * kPerThread);
@@ -243,7 +243,7 @@ TEST(RuntimeStatsSnapshotTest, ToStringMentionsCacheAndCadence) {
   snap.probe_interval_ns = 2000000;
   const std::string s = snap.ToString();
   EXPECT_NE(s.find("estimate_cache"), std::string::npos);
-  EXPECT_NE(s.find("hit=7"), std::string::npos);
+  EXPECT_NE(s.find("estimate_cache_hits=7"), std::string::npos);
   EXPECT_NE(s.find("probe_interval"), std::string::npos);
 }
 

@@ -791,6 +791,67 @@ TEST(StatsCodecTest, RoundTripsEveryScalarField) {
   }
 }
 
+// The runtime's stats keys are a wire contract: names, order and type tags.
+// The list is spelled out here, not read from the field tables, so renaming,
+// reordering or retyping a row fails this test.
+TEST(StatsCodecTest, PayloadLayoutIsPinned) {
+  constexpr uint8_t kU64 = 0;
+  constexpr uint8_t kF64 = 1;
+  const std::vector<std::pair<std::string, uint8_t>> expected = {
+      {"requests", kU64},
+      {"batches", kU64},
+      {"probe_cache_hits", kU64},
+      {"probe_cache_stale", kU64},
+      {"probe_cache_misses", kU64},
+      {"no_model", kU64},
+      {"probes", kU64},
+      {"probe_failures", kU64},
+      {"probe_discards", kU64},
+      {"probe_timeouts", kU64},
+      {"probes_suppressed", kU64},
+      {"breaker_opens", kU64},
+      {"degraded_sites", kU64},
+      {"degraded_served", kU64},
+      {"invalid_requests", kU64},
+      {"catalog_swaps", kU64},
+      {"stale_model_served", kU64},
+      {"stale_models", kU64},
+      {"estimate_cache_hits", kU64},
+      {"estimate_cache_misses", kU64},
+      {"estimate_cache_invalidations", kU64},
+      {"placements", kU64},
+      {"placement_expected_cost_wins", kU64},
+      {"near_boundary_sites", kU64},
+      {"adaptations_applied", kU64},
+      {"sites_retired", kU64},
+      {"probe_interval_ns", kF64},
+      {"estimate_latency.count", kU64},
+      {"estimate_latency.mean_s", kF64},
+      {"estimate_latency.p50_s", kF64},
+      {"estimate_latency.p90_s", kF64},
+      {"estimate_latency.p99_s", kF64},
+      {"estimate_latency.max_s", kF64},
+      {"probe_latency.count", kU64},
+      {"probe_latency.mean_s", kF64},
+      {"probe_latency.p50_s", kF64},
+      {"probe_latency.p90_s", kF64},
+      {"probe_latency.p99_s", kF64},
+      {"probe_latency.max_s", kF64},
+  };
+  ASSERT_EQ(expected.size(), 39u);
+
+  const std::vector<uint8_t> payload = EncodeStats(MakeFullSnapshot());
+  WireReader r(payload);
+  ASSERT_EQ(r.TakeU32(), expected.size());
+  for (const auto& [key, tag] : expected) {
+    EXPECT_EQ(r.TakeString(kMaxStatsKeyBytes), key);
+    EXPECT_EQ(r.TakeU8(), tag) << key;
+    (void)r.TakeU64();  // both tags carry 8 value bytes
+    ASSERT_TRUE(r.ok()) << key;
+  }
+  EXPECT_TRUE(r.AtEnd());
+}
+
 TEST(StatsCodecTest, ExtraCountersDecodeLikeAnyOther) {
   runtime::RuntimeStatsSnapshot snap;
   snap.requests = 5;
