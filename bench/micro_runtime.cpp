@@ -23,8 +23,8 @@
 //   degraded x1  — one thread, Estimate() against sites whose probe circuit
 //                  breakers are open: every response is priced from the last
 //                  known state and flagged degraded (never memoized). The
-//                  derived degraded_overhead_x is healthy / degraded, both
-//                  sides measured *paired* — alternating rep by rep — so
+//                  derived degraded_overhead_x is healthy / degraded, the
+//                  median of interleaved healthy/degraded pairs, so
 //                  run-order and clock-frequency drift hit both equally (a
 //                  degraded run measured half a bench after its healthy
 //                  baseline once reported a nonsensical sub-1.0 "overhead").
@@ -58,6 +58,13 @@
 // thread_scaling_8t_x the bench emits thread_scaling_honest_x measured at
 // the largest batch thread count that actually fits the machine.
 //
+// The two timing ratios the gates judge, thread_scaling_honest_x and
+// degraded_overhead_x, are each the median of max(reps, 3) interleaved
+// pairs of runs, printed and written with their min and max. Before the first
+// timed row every hardware thread is spun up until they all run at once:
+// after the box had sat idle, the first runs lost their parallelism (batch
+// x4 read about the same as x1).
+//
 // The batch xN rows (batch x1 through x8 + refresh) time a fixed window —
 // 500 ms, 100 ms in --smoke: their readers are spawned and each serves its
 // own whole slice once before a start barrier releases them all into the
@@ -72,18 +79,18 @@
 // MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
 // `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
 // JSON write, and fails (exit 1) if any of these hold: the cached hot path
-// performed a shared atomic RMW per request, the paired degraded overhead
-// fell below 0.8x (orientation check), expected-cost placement did not
-// strictly beat point-estimate placement on wrong-site rate in the
-// boundary-jitter duel, placement_expected_cost_wins stayed zero, the
-// drift-recovery duel failed to converge or its RLS-vs-rederive observation
-// ratio fell below 3x, or (on a multi-core machine) thread_scaling_honest_x
-// fell below 1.05x.
+// performed a shared atomic RMW per request, degraded_overhead_x fell below
+// 0.8x (orientation check), expected-cost placement did not strictly beat
+// point-estimate placement on wrong-site rate in the boundary-jitter duel,
+// placement_expected_cost_wins stayed zero, the drift-recovery duel failed
+// to converge or its RLS-vs-rederive observation ratio fell below 3x, or
+// (on a multi-core machine) thread_scaling_honest_x fell below 1.05x.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <latch>
@@ -427,6 +434,74 @@ Result RunBestOf(const Scenario& scenario,
     if (next.qps > best.qps) best = next;
   }
   return best;
+}
+
+// A ratio of two scenarios' throughputs, measured as interleaved pairs of
+// runs (the order alternating pair by pair): the median of the per-pair
+// ratios, with its spread, and each side's best run for the table.
+struct PairedRatio {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  Result best_a;
+  Result best_b;
+};
+
+PairedRatio RunPaired(const Scenario& a, const Scenario& b,
+                      const std::vector<runtime::EstimateRequest>& requests,
+                      size_t pairs, std::chrono::milliseconds window) {
+  PairedRatio out;
+  std::vector<double> ratios;
+  for (size_t p = 0; p < pairs; ++p) {
+    Result ra;
+    Result rb;
+    if (p % 2 == 0) {
+      ra = Run(a, requests, window);
+      rb = Run(b, requests, window);
+    } else {
+      rb = Run(b, requests, window);
+      ra = Run(a, requests, window);
+    }
+    ratios.push_back(ra.qps / rb.qps);
+    if (p == 0 || ra.qps > out.best_a.qps) out.best_a = ra;
+    if (p == 0 || rb.qps > out.best_b.qps) out.best_b = rb;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  out.median = ratios[ratios.size() / 2];
+  out.min = ratios.front();
+  out.max = ratios.back();
+  return out;
+}
+
+// Spins `threads` threads for `window`; returns the slowest one's count of
+// loop turns.
+uint64_t SlowestSpinner(unsigned threads, std::chrono::milliseconds window) {
+  std::atomic<uint64_t> slowest{UINT64_MAX};
+  std::vector<std::thread> spinners;
+  for (unsigned t = 0; t < threads; ++t) {
+    spinners.emplace_back([&slowest, window] {
+      const auto stop = Clock::now() + window;
+      uint64_t turns = 0;
+      while (Clock::now() < stop) ++turns;
+      uint64_t seen = slowest.load(std::memory_order_relaxed);
+      while (turns < seen && !slowest.compare_exchange_weak(seen, turns)) {
+      }
+    });
+  }
+  for (std::thread& spinner : spinners) spinner.join();
+  return slowest.load(std::memory_order_relaxed);
+}
+
+// Brings every hardware thread up before the first timed row: spins all of
+// them until the slowest keeps at least half the pace of a lone spinner, for
+// at most ~3 s.
+void WakeHardwareThreads(unsigned threads) {
+  if (threads <= 1) return;
+  constexpr auto kWindow = std::chrono::milliseconds(50);
+  for (int round = 0; round < 30; ++round) {
+    const uint64_t alone = SlowestSpinner(1, kWindow);
+    if (2 * SlowestSpinner(threads, kWindow) >= alone) return;
+  }
 }
 
 // Raw-model hot loop: a 256-request working set priced directly against one
@@ -981,6 +1056,8 @@ int main(int argc, char** argv) {
   const size_t n = EnvCount("MSCM_RUNTIME_BENCH_N", smoke ? 2000 : 40000);
   const size_t reps = EnvCount("MSCM_RUNTIME_BENCH_REPS", smoke ? 1 : 3);
   const auto window = std::chrono::milliseconds(smoke ? 100 : 500);
+  // Interleaved pairs behind each gated timing ratio.
+  const size_t gate_pairs = std::max<size_t>(reps, 3);
   const std::vector<runtime::EstimateRequest> requests = MakeWorkload(n);
   const std::vector<runtime::EstimateRequest> hot_requests = MakeHotWorkload(n);
 
@@ -1000,6 +1077,7 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned effective_hw = hw == 0 ? 1 : hw;
+  WakeHardwareThreads(effective_hw);
 
   std::printf("micro_runtime: %zu requests, batch size %zu, best of %zu "
               "reps, %u hardware threads%s\n\n",
@@ -1025,22 +1103,17 @@ int main(int argc, char** argv) {
   }
 
   // Degraded serving overhead, measured *paired*: healthy and degraded
-  // single-thread runs alternate rep by rep so run-order effects — cache
-  // warmth, frequency scaling, background noise — land on both sides
-  // equally. Measuring the degraded run half a bench after its healthy
-  // baseline once committed a nonsensical 0.753x "overhead" (degraded
-  // apparently faster); the pairing removes that artifact.
+  // single-thread runs interleave so run-order effects — cache warmth,
+  // frequency scaling, background noise — land on both sides equally.
+  // Measuring the degraded run half a bench after its healthy baseline once
+  // committed a nonsensical 0.753x "overhead" (degraded apparently faster);
+  // the pairing removes that artifact, and the median of the pairs keeps
+  // one disturbed ~0.5 ms smoke pass from deciding the gate.
   const Scenario degraded_single{"degraded x1", 1, false, false, false,
                                  false, false, /*degraded=*/true};
-  Result paired_healthy = Run(scenarios[0], requests, window);
-  Result paired_degraded = Run(degraded_single, requests, window);
-  for (size_t r = 1; r < std::max<size_t>(reps, 2); ++r) {
-    Result h = Run(scenarios[0], requests, window);
-    Result d = Run(degraded_single, requests, window);
-    if (h.qps > paired_healthy.qps) paired_healthy = h;
-    if (d.qps > paired_degraded.qps) paired_degraded = d;
-  }
-  results.push_back(paired_degraded);
+  const PairedRatio degraded_overhead = RunPaired(
+      scenarios[0], degraded_single, requests, gate_pairs, window);
+  results.push_back(degraded_overhead.best_b);
   {
     const Result& r = results.back();
     table.AddRow({r.scenario.name, Format("%.0f", r.qps),
@@ -1093,12 +1166,8 @@ int main(int argc, char** argv) {
   const double batch8_qps = results[4].qps;
   const double hot_qps = results[7].qps;
   const double hot_cached_qps = results[8].qps;
-  const double degraded_qps = results[10].qps;
   const double termwalk_qps = results[11].qps;
   const double compiled_qps = results[12].qps;
-  // Healthy baseline from the *paired* reps, not results[0] — see the
-  // comment at the paired measurement above.
-  const double degraded_overhead = paired_healthy.qps / degraded_qps;
 
   // Honest scaling: the largest measured batch thread count that fits the
   // machine (batch x1/x2/x4/x8 sit at results[1..4]). With one hardware
@@ -1112,21 +1181,32 @@ int main(int argc, char** argv) {
     }
   }
   const int honest_threads = results[honest_index].scenario.threads;
-  const double honest_scaling = results[honest_index].qps / batch1_qps;
+  // The gate reads interleaved pairs of the honest row and batch x1, not the
+  // table rows: one table row is one window of whatever the box did then.
+  PairedRatio honest_scaling;
+  honest_scaling.median = honest_scaling.min = honest_scaling.max = 1.0;
+  if (honest_index > 1) {
+    honest_scaling = RunPaired(scenarios[honest_index], scenarios[1],
+                               requests, gate_pairs, window);
+  }
 
   std::printf("batch amortization (batch x1 / single x1): %.2fx\n",
               batch1_qps / single_qps);
   std::printf("thread scaling (batch x8 / batch x1):      %.2fx%s\n",
               batch8_qps / batch1_qps,
               scaling_oversubscribed ? "  [oversubscribed — see *]" : "");
-  std::printf("thread scaling honest (batch x%d / x1):     %.2fx\n",
-              honest_threads, honest_scaling);
+  std::printf("thread scaling honest (batch x%d / x1):     %.2fx  "
+              "(median of %zu pairs, min %.2f max %.2f)\n",
+              honest_threads, honest_scaling.median, gate_pairs,
+              honest_scaling.min, honest_scaling.max);
   std::printf("cached hot loop (hot cached / hot):        %.2fx\n",
               hot_cached_qps / hot_qps);
   std::printf("compiled hot loop (compiled / termwalk):   %.2fx\n",
               compiled_qps / termwalk_qps);
-  std::printf("degraded serving (paired healthy/degraded):%.2fx overhead\n",
-              degraded_overhead);
+  std::printf("degraded serving (paired healthy/degraded):%.2fx overhead  "
+              "(median of %zu pairs, min %.2f max %.2f)\n",
+              degraded_overhead.median, gate_pairs, degraded_overhead.min,
+              degraded_overhead.max);
   std::printf("cached hot path shared RMWs per request:   %.3f (want 0)\n",
               results[8].rmw_per_request);
   std::printf("placement wrong-site rate point/expected:  %.3f / %.3f "
@@ -1159,12 +1239,13 @@ int main(int argc, char** argv) {
                   results[8].rmw_per_request);
       fail = true;
     }
-    if (!(degraded_overhead >= 0.8)) {
-      std::printf("\nSMOKE FAIL: degraded_overhead_x %.3f — the healthy / "
-                  "degraded ratio should sit near or above 1.0; well below "
-                  "means the ratio inverted or the paired measurement "
-                  "broke\n",
-                  degraded_overhead);
+    if (!(degraded_overhead.median >= 0.8)) {
+      std::printf("\nSMOKE FAIL: degraded_overhead_x %.3f (pairs %.3f-%.3f) "
+                  "— the healthy / degraded ratio should sit near or above "
+                  "1.0; well below means the ratio inverted or the paired "
+                  "measurement broke\n",
+                  degraded_overhead.median, degraded_overhead.min,
+                  degraded_overhead.max);
       fail = true;
     }
     if (!(jitter.wrong_expected_rate < jitter.wrong_point_rate)) {
@@ -1209,11 +1290,13 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(fleet.churn_cycles));
       fail = true;
     }
-    if (effective_hw > 1 && !(honest_scaling >= 1.05)) {
-      std::printf("\nSMOKE FAIL: thread_scaling_honest_x %.2f at %d threads "
-                  "on a %u-thread machine — the sharded estimate path "
-                  "stopped scaling across real cores\n",
-                  honest_scaling, honest_threads, effective_hw);
+    if (effective_hw > 1 && !(honest_scaling.median >= 1.05)) {
+      std::printf("\nSMOKE FAIL: thread_scaling_honest_x %.2f (pairs "
+                  "%.2f-%.2f) at %d threads on a %u-thread machine — the "
+                  "sharded estimate path stopped scaling across real "
+                  "cores\n",
+                  honest_scaling.median, honest_scaling.min,
+                  honest_scaling.max, honest_threads, effective_hw);
       fail = true;
     }
     if (fail) return 1;
@@ -1221,7 +1304,7 @@ int main(int argc, char** argv) {
                 "with zero shared atomic RMWs, degraded overhead %.2fx, "
                 "expected-cost wrong-site %.3f < point %.3f, drift recovery "
                 "%.1fx fewer observations via RLS\n",
-                n, degraded_overhead, jitter.wrong_expected_rate,
+                n, degraded_overhead.median, jitter.wrong_expected_rate,
                 jitter.wrong_point_rate, duel.convergence_ratio_x);
     return 0;  // no JSON in smoke mode — numbers from a tiny run mislead
   }
@@ -1268,7 +1351,11 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  \"thread_scaling_honest_threads\": %d,\n",
                  honest_threads);
     std::fprintf(json, "  \"thread_scaling_honest_x\": %.3f,\n",
-                 honest_scaling);
+                 honest_scaling.median);
+    std::fprintf(json, "  \"thread_scaling_honest_min_x\": %.3f,\n",
+                 honest_scaling.min);
+    std::fprintf(json, "  \"thread_scaling_honest_max_x\": %.3f,\n",
+                 honest_scaling.max);
     std::fprintf(json, "  \"cached_hot_shared_rmw_per_request\": %.3f,\n",
                  results[8].rmw_per_request);
     std::fprintf(json, "  \"cached_hot_loop_speedup_x\": %.3f,\n",
@@ -1276,7 +1363,11 @@ int main(int argc, char** argv) {
     std::fprintf(json, "  \"compiled_hot_loop_speedup_x\": %.3f,\n",
                  compiled_qps / termwalk_qps);
     std::fprintf(json, "  \"degraded_overhead_x\": %.3f,\n",
-                 degraded_overhead);
+                 degraded_overhead.median);
+    std::fprintf(json, "  \"degraded_overhead_min_x\": %.3f,\n",
+                 degraded_overhead.min);
+    std::fprintf(json, "  \"degraded_overhead_max_x\": %.3f,\n",
+                 degraded_overhead.max);
     std::fprintf(json, "  \"placement_trials\": %llu,\n",
                  static_cast<unsigned long long>(jitter.trials));
     std::fprintf(json, "  \"placement_wrong_site_point_rate\": %.4f,\n",

@@ -214,19 +214,8 @@ void AdaptationController::ProcessSample(const Sample& sample) {
   request.features.assign(sample.features,
                           sample.features + sample.num_features);
   request.probing_cost = sample.probing_cost;
-
-  // Width guard before the serving path (CheckFeatureWidth aborts on a
-  // short vector — the wire is not allowed to crash the process).
-  {
-    const auto snapshot = service_->CatalogSnapshot();
-    const core::CompiledEquations* equations =
-        snapshot->FindCompiled(site, sample.class_id);
-    if (equations == nullptr ||
-        request.features.size() < equations->min_features()) {
-      ignored_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-  }
+  // A short feature vector comes back kInvalidRequest, like any other
+  // unpriceable request.
   const EstimateResponse response = service_->Estimate(request);
   if (!response.ok()) {
     ignored_.fetch_add(1, std::memory_order_relaxed);
@@ -288,7 +277,12 @@ void AdaptationController::ProcessSample(const Sample& sample) {
     return;
   }
   const core::CompiledEquations& equations = model->compiled();
-  if (response.state < 0 || response.state >= equations.num_states()) return;
+  // A registration since the estimate may have moved the model's width:
+  // check the vector against the model it is gathered from.
+  if (response.state < 0 || response.state >= equations.num_states() ||
+      request.features.size() < equations.min_features()) {
+    return;
+  }
   const size_t stride = equations.num_selected() + 1;
 
   StateAccumulator& acc = group.states[response.state];

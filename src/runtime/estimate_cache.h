@@ -55,9 +55,6 @@ struct EstimateCacheConfig {
   // reinterpretation would have multiplied existing configs' memory by the
   // thread count — renaming makes stale configs fail to compile instead.
   size_t capacity_per_thread = 0;
-  // Historical knob from the spinlocked-shard design; ignored (the cache is
-  // now sharded per thread). Kept so existing configs keep compiling.
-  size_t shards = 8;
   // Feature quantization grid. 0 keys features on their exact bit patterns
   // (a hit requires identical features — always exact). Positive values key
   // on round(feature / quantum), trading a bounded feature perturbation for

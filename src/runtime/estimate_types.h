@@ -17,9 +17,10 @@ enum class EstimateStatus {
   kOk,
   kNoModel,  // no cost model registered for (site, class)
   kNoProbe,  // no probing_cost given and no cached probe for the site
-  // The request itself is malformed: a non-finite feature, a NaN probing
-  // cost, or a +inf probing cost. Rejected at the service boundary before
-  // touching the estimate cache.
+  // The request cannot be priced as sent: a non-finite feature, a NaN or
+  // +inf probing cost (rejected before touching the estimate cache), or a
+  // feature vector shorter than the (site, class) model reads (answered,
+  // never read past its end, never cached).
   kInvalidRequest,
 };
 

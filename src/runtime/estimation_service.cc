@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "mdbs/agent.h"
 #include "runtime/rmw_probe.h"
@@ -62,6 +65,53 @@ RuntimeCounters::Tally TrackerRows(const ContentionTracker& tracker) {
   rows[RuntimeCounter::breaker_opens] = tracker.breaker().opens();
   return rows;
 }
+
+// One probe reading per distinct site of a pricing pass. `tracker` points
+// into the tracker map the pass's EpochGuard pins (null for an unknown
+// site); `state_version_before` was loaded before `reading` was taken.
+struct SiteProbe {
+  const std::string* site = nullptr;
+  const std::shared_ptr<ContentionTracker>* tracker = nullptr;
+  uint64_t state_version_before = 0;
+  ProbeReading reading;
+};
+
+const SiteProbe* FindProbe(std::span<const SiteProbe> probes,
+                           const std::string& site) {
+  for (const SiteProbe& probe : probes) {
+    if (probe.site == &site || *probe.site == site) return &probe;
+  }
+  return nullptr;
+}
+
+// A chunk's record for one (site, class, state): the resolved model, stale
+// flag and site probe, and the chunk items that evaluate the state's row,
+// linked in item order through PassScratch::next.
+struct Group {
+  const std::string* site = nullptr;
+  core::QueryClassId class_id{};
+  const core::CompiledEquations* equations = nullptr;  // null: no model
+  const SiteProbe* probe = nullptr;  // null: the site has no probe reading
+  bool stale_model = false;
+  int state = -1;
+  uint32_t size = 0;
+  uint32_t head = 0;
+  uint32_t tail = 0;
+};
+
+// The pricing pass's per-thread buffers, reused call to call so a warm
+// thread prices without heap allocation. A pass never re-enters itself on
+// one thread. `probes` belongs to the thread that starts a pass; pool
+// workers pricing its chunks read that thread's list and write only their
+// own chunk buffers.
+struct PassScratch {
+  std::vector<SiteProbe> probes;
+  std::vector<Group> groups;
+  std::vector<uint32_t> next;  // chunk item -> next member of its group
+  std::vector<double> packed;
+  std::vector<double> estimates;
+};
+thread_local PassScratch t_scratch;
 
 }  // namespace
 
@@ -406,112 +456,276 @@ std::shared_ptr<ContentionTracker> EstimationService::FindTracker(
   return it == map->end() ? nullptr : it->second;
 }
 
-bool EstimationService::ResolveProbe(const EstimateRequest& request,
-                                     const ProbeReading* cached_reading,
-                                     EstimateResponse& response,
-                                     RuntimeCounters::Tally& counts) const {
-  if (request.probing_cost >= 0.0) {
-    response.probing_cost = request.probing_cost;
-    return true;
+// One pricing pass's inputs, shared read-only by every chunk: the requests
+// and their response slots, the snapshots the caller's EpochGuard pins, and
+// the pass's site probes.
+struct EstimationService::Pass {
+  const EstimateRequest* requests;
+  EstimateResponse* responses;
+  const core::CompiledEquations** models;
+  const core::GlobalCatalog* catalog;
+  const StaleKeySet* stale_keys;
+  std::span<const SiteProbe> probes;
+  bool batch;
+  bool use_cache;
+};
+
+void EstimationService::Price(const EpochGuard& guard,
+                              const EstimateRequest* requests, size_t n,
+                              EstimateResponse* responses,
+                              const core::CompiledEquations** models,
+                              bool batch) const {
+  const auto started = std::chrono::steady_clock::now();
+  if (batch) counters_.Local().Add(RuntimeCounter::batches);
+
+  // One probe reading per distinct site for the whole call, taken before
+  // any chunk runs: pool workers read this thread's list, never write it.
+  std::vector<SiteProbe>& probes = t_scratch.probes;
+  probes.clear();
+  const TrackerMap* trackers = trackers_.Read(guard);
+  for (size_t i = 0; i < n; ++i) {
+    const std::string& site = requests[i].site;
+    if (requests[i].probing_cost >= 0.0 || FindProbe(probes, site) != nullptr) {
+      continue;
+    }
+    SiteProbe& probe = probes.emplace_back();
+    probe.site = &site;
+    if (const auto it = trackers->find(site); it != trackers->end()) {
+      // Version first, then the reading: if anything transitions in
+      // between, an entry cached from this reading is born invalid rather
+      // than wrongly valid.
+      probe.tracker = &it->second;
+      probe.state_version_before = it->second->state_version();
+      probe.reading = it->second->Current();
+    }
   }
-  if (cached_reading == nullptr || !cached_reading->has_value) {
-    ++counts[RuntimeCounter::probe_cache_misses];
-    response.status = EstimateStatus::kNoProbe;
-    return false;
+
+  // The caller's pin covers the workers too: ParallelFor blocks this thread
+  // until every chunk completes, so no snapshot they read can be reclaimed
+  // under them.
+  const Pass pass{requests, responses, models, catalog_.Read(guard),
+                  stale_keys_.Read(guard), probes, batch, cache_.enabled()};
+  const auto price = [this, &pass](size_t begin, size_t end) {
+    PriceChunk(pass, begin, end);
+  };
+  // A pass that fits one chunk skips the pool's std::function round trip.
+  if (n <= config_.batch_grain) {
+    price(0, n);
+  } else {
+    pool_.ParallelFor(n, config_.batch_grain, price);
   }
-  response.probing_cost = cached_reading->probing_cost;
-  response.stale_probe = cached_reading->stale;
-  if (cached_reading->degraded) {
-    response.degraded = true;
-    ++counts[RuntimeCounter::degraded_served];
+
+  // The call's wall time spread over the items it priced: a rejected
+  // request did no work (the soak's conservation check flags
+  // count(estimate_latency) > requests).
+  const auto priced = static_cast<uint64_t>(
+      std::count_if(responses, responses + n, [](const EstimateResponse& r) {
+        return r.status != EstimateStatus::kInvalidRequest;
+      }));
+  if (priced > 0) {
+    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - started);
+    // A single estimate skips the 64-bit division, which sits on its path.
+    estimate_latency_.RecordN(
+        priced == 1 ? elapsed : elapsed / static_cast<int64_t>(priced), priced);
   }
-  ++counts[cached_reading->stale ? RuntimeCounter::probe_cache_stale
-                                 : RuntimeCounter::probe_cache_hits];
-  return true;
 }
 
-EstimateResponse EstimationService::EstimateWithSnapshot(
-    const core::GlobalCatalog& catalog, const StaleKeySet& stale_keys,
-    const EstimateRequest& request, const ProbeReading* cached_reading,
-    RuntimeCounters::Tally& counts) const {
-  EstimateResponse response;
-  ++counts[RuntimeCounter::requests];
-
-  // Serving reads only the compiled per-state table — never the model's
-  // derivation-side DesignLayout.
-  const core::CompiledEquations* equations =
-      catalog.FindCompiled(request.site, request.class_id);
-  if (equations == nullptr) {
-    ++counts[RuntimeCounter::no_model];
-    response.status = EstimateStatus::kNoModel;
-    return response;
+void EstimationService::PriceChunk(const Pass& pass, size_t begin,
+                                   size_t end) const {
+  PassScratch& scratch = t_scratch;
+  std::vector<Group>& groups = scratch.groups;
+  std::vector<uint32_t>& next = scratch.next;
+  std::vector<double>& estimates = scratch.estimates;
+  groups.clear();
+  if (next.size() < end - begin) {
+    next.resize(end - begin);
+    estimates.resize(end - begin);
   }
-  if (!stale_keys.empty() &&
-      stale_keys.count(std::make_pair(
-          request.site, static_cast<int>(request.class_id))) > 0) {
-    response.stale_model = true;
-    ++counts[RuntimeCounter::stale_model_served];
-  }
-  if (!ResolveProbe(request, cached_reading, response, counts)) {
-    return response;
+  const uint64_t revision = pass.catalog->revision();
+  // Counted straight into the calling thread's own shard: plain stores, no
+  // shared atomic RMW (unless this thread landed on the overflow shard).
+  RuntimeCounters::Shard& counts = counters_.Local();
+
+  // Scan: validate, consult the cache, resolve model, probe and state, and
+  // file each priceable item under its (site, class, state) group.
+  for (size_t i = begin; i < end; ++i) {
+    const EstimateRequest& request = pass.requests[i];
+    EstimateResponse& response = pass.responses[i];
+    // A non-finite value must never become an estimate-cache key or a
+    // served estimate.
+    if (!RequestIsValid(request)) {
+      counts.Add(RuntimeCounter::invalid_requests);
+      response.status = EstimateStatus::kInvalidRequest;
+      continue;
+    }
+    bool hit = false;
+    if (pass.use_cache && request.probing_cost < 0.0) {
+      hit = pass.batch &&
+            cache_.Lookup(request.site, static_cast<int>(request.class_id),
+                          request.features, revision, &response);
+      counts.Add(hit ? RuntimeCounter::estimate_cache_hits
+                     : RuntimeCounter::estimate_cache_misses);
+    }
+    if (hit && pass.models == nullptr) continue;
+
+    // The chunk's first record for the (site, class): its model, stale flag
+    // and site probe, resolved once per chunk. Its state is the cached
+    // probe's (-1 without one); an explicit probing cost that selects
+    // another state gets a record of its own below.
+    size_t g = 0;
+    while (g < groups.size() && !(groups[g].class_id == request.class_id &&
+                                  *groups[g].site == request.site)) {
+      ++g;
+    }
+    if (g == groups.size()) {
+      Group& group = groups.emplace_back();
+      group.site = &request.site;
+      group.class_id = request.class_id;
+      // Serving reads only the compiled per-state table — never the model's
+      // derivation-side DesignLayout.
+      group.equations =
+          pass.catalog->FindCompiled(request.site, request.class_id);
+      group.stale_model =
+          group.equations != nullptr && !pass.stale_keys->empty() &&
+          pass.stale_keys->count(std::make_pair(
+              request.site, static_cast<int>(request.class_id))) > 0;
+      group.probe = FindProbe(pass.probes, request.site);
+      if (group.equations != nullptr && group.probe != nullptr &&
+          group.probe->reading.has_value) {
+        group.state =
+            group.equations->StateOf(group.probe->reading.probing_cost);
+      }
+    }
+    const core::CompiledEquations* equations = groups[g].equations;
+    // A placement ranks a cached answer by its model too.
+    if (pass.models != nullptr) pass.models[i] = equations;
+    if (hit) continue;
+    counts.Add(RuntimeCounter::requests);
+    if (equations == nullptr) {
+      counts.Add(RuntimeCounter::no_model);
+      response.status = EstimateStatus::kNoModel;
+      continue;
+    }
+    // The one width check: a vector shorter than the model's selected
+    // variables is answered, never read past its end.
+    if (request.features.size() < equations->min_features()) {
+      counts.Add(RuntimeCounter::invalid_requests);
+      response.status = EstimateStatus::kInvalidRequest;
+      continue;
+    }
+    if (groups[g].stale_model) {
+      response.stale_model = true;
+      counts.Add(RuntimeCounter::stale_model_served);
+    }
+    int state = groups[g].state;
+    if (request.probing_cost >= 0.0) {
+      response.probing_cost = request.probing_cost;
+      state = equations->StateOf(request.probing_cost);
+    } else {
+      const SiteProbe* probe = groups[g].probe;
+      if (probe == nullptr || !probe->reading.has_value) {
+        counts.Add(RuntimeCounter::probe_cache_misses);
+        response.status = EstimateStatus::kNoProbe;
+        continue;
+      }
+      response.probing_cost = probe->reading.probing_cost;
+      response.stale_probe = probe->reading.stale;
+      if (probe->reading.degraded) {
+        response.degraded = true;
+        counts.Add(RuntimeCounter::degraded_served);
+      }
+      counts.Add(probe->reading.stale ? RuntimeCounter::probe_cache_stale
+                                      : RuntimeCounter::probe_cache_hits);
+    }
+    if (groups[g].state != state) {
+      size_t s = g + 1;
+      while (s < groups.size() &&
+             !(groups[s].state == state &&
+               groups[s].class_id == request.class_id &&
+               *groups[s].site == request.site)) {
+        ++s;
+      }
+      if (s == groups.size()) {
+        Group record = groups[g];  // by value: push_back may reallocate
+        record.state = state;
+        record.size = 0;
+        groups.push_back(record);
+      }
+      g = s;
+    }
+    Group& group = groups[g];
+    const auto m = static_cast<uint32_t>(i - begin);
+    if (group.size++ == 0) {
+      group.head = m;
+    } else {
+      next[group.tail] = m;
+    }
+    group.tail = m;
   }
 
-  // One width check per request, then state lookup + raw dot product.
-  equations->CheckFeatureWidth(request.features);
-  response.status = EstimateStatus::kOk;
-  response.model_generation = equations->generation();
-  response.state = equations->StateOf(response.probing_cost);
-  response.estimate_seconds =
-      equations->EvaluateInState(request.features.data(), response.state);
-  return response;
-}
+  // Flush: per group, gather the members' selected features into packed
+  // rows, evaluate them against the group's one state row (bit-exact with
+  // evaluating each row alone) and fill every priced response here.
+  const EstimateRequest* requests = pass.requests + begin;
+  EstimateResponse* responses = pass.responses + begin;
+  std::vector<double>& packed = scratch.packed;
+  for (const Group& group : groups) {
+    if (group.size == 0) continue;
+    const core::CompiledEquations& equations = *group.equations;
+    const size_t k = equations.num_selected();
+    if (packed.size() < group.size * k) packed.resize(group.size * k);
+    for (uint32_t r = 0, m = group.head; r < group.size; ++r, m = next[m]) {
+      equations.GatherSelected(requests[m].features.data(),
+                               packed.data() + r * k);
+    }
+    equations.EvaluateRowsInState(group.state, packed.data(), group.size,
+                                  estimates.data());
+    for (uint32_t r = 0, m = group.head; r < group.size; ++r, m = next[m]) {
+      EstimateResponse& response = responses[m];
+      response.status = EstimateStatus::kOk;
+      response.model_generation = equations.generation();
+      response.state = group.state;
+      response.estimate_seconds = estimates[r];
+    }
 
-void EstimationService::MaybeCacheResponse(
-    const core::GlobalCatalog& catalog, const EstimateRequest& request,
-    const EstimateResponse& response,
-    const std::shared_ptr<ContentionTracker>& tracker,
-    uint64_t state_version_before, const ProbeReading& reading) const {
-  // Only responses priced from a *fresh, healthy* tracker reading are
-  // cacheable: a stale, degraded, or explicit-probing-cost response is not a
-  // function of the tracker's published state — and a degraded response must
-  // stop being served the moment the half-open trial restores the site.
-  if (!response.ok() || response.stale_probe || response.degraded) return;
-  if (request.probing_cost >= 0.0) return;
-  if (tracker == nullptr || !reading.has_value || reading.stale ||
-      reading.degraded) {
-    return;
+    // Cache what was priced from a fresh, healthy tracker reading. A stale,
+    // degraded or explicit-probing-cost response is not a function of the
+    // tracker's published state — and a degraded one must stop being
+    // served the moment the half-open trial restores the site.
+    const SiteProbe* probe = group.probe;
+    if (!pass.use_cache || probe == nullptr || probe->tracker == nullptr ||
+        !probe->reading.has_value || probe->reading.stale ||
+        probe->reading.degraded) {
+      continue;
+    }
+    EstimateCache::InsertContext context;
+    for (uint32_t r = 0, m = group.head; r < group.size; ++r, m = next[m]) {
+      const EstimateRequest& request = requests[m];
+      if (request.probing_cost >= 0.0) continue;
+      if (context.tracker == nullptr) {
+        RmwProbe::Count();  // tracker pin moving into the insert context
+        context.tracker = *probe->tracker;
+        context.state_version = probe->state_version_before;
+        equations.StateInterval(group.state, &context.state_lo,
+                                &context.state_hi);
+      }
+      cache_.Insert(request.site, static_cast<int>(request.class_id),
+                    request.features, revision, context, responses[m]);
+    }
   }
-  const core::CompiledEquations* equations =
-      catalog.FindCompiled(request.site, request.class_id);
-  if (equations == nullptr || response.state < 0) return;
-
-  EstimateCache::InsertContext context;
-  RmwProbe::Count();  // tracker pin moving into the cache entry
-  context.tracker = tracker;
-  context.state_version = state_version_before;
-  equations->StateInterval(response.state, &context.state_lo,
-                           &context.state_hi);
-  cache_.Insert(request.site, static_cast<int>(request.class_id),
-                request.features, catalog.revision(), context, response);
 }
 
 EstimateResponse EstimationService::Estimate(
     const EstimateRequest& request) const {
-  // Validate before anything shared is touched — a NaN feature vector must
-  // never become an estimate-cache key or a served estimate.
-  if (!RequestIsValid(request)) {
-    counters_.Local().Add(RuntimeCounter::invalid_requests);
-    EstimateResponse response;
-    response.status = EstimateStatus::kInvalidRequest;
-    return response;
-  }
-
   // Cache hit path first: no clocks, no snapshot, no histogram, no epoch
-  // guard — one hash, the calling thread's own cache shard, a handful of
-  // validation loads and one per-thread counter store. Zero shared atomic
-  // RMWs end to end (the shared_rmw_per_request bench gate).
+  // guard — one validation, one hash, the calling thread's own cache shard,
+  // a handful of validation loads and one per-thread counter store. Zero
+  // shared atomic RMWs end to end (the shared_rmw_per_request bench gate).
+  // A request that fails validation never becomes a cache key; the pass
+  // below answers it.
   const bool try_cache = cache_.enabled() && request.probing_cost < 0.0;
-  if (try_cache) {
+  if (try_cache && RequestIsValid(request)) {
     // Arm the clock when the *next hit* completes a sample window. Misses
     // while armed waste one clock read (they pay the full miss path anyway)
     // but never advance the window — only hits do, so the weighted sample
@@ -554,329 +768,56 @@ EstimateResponse EstimationService::Estimate(
     }
   }
 
-  const auto started = std::chrono::steady_clock::now();
-  // Miss path: one epoch guard pins the catalog, tracker map and stale-key
-  // set for the whole request — raw pointers, no refcount round-trips.
+  // Miss path: a pass over one request — a group of one.
+  EstimateResponse response;
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
-  const StaleKeySet* stale_keys = stale_keys_.Read(guard);
-
-  ProbeReading reading;
-  const ProbeReading* cached = nullptr;
-  std::shared_ptr<ContentionTracker> tracker;
-  uint64_t state_version_before = 0;
-  if (request.probing_cost < 0.0) {
-    const TrackerMap* map = trackers_.Read(guard);
-    if (const auto it = map->find(request.site); it != map->end()) {
-      if (try_cache) {
-        // Pin the tracker past the guard only when a cache insert may need
-        // it (the entry holds the reference) — the refcount bump is a
-        // shared RMW, paid on misses only.
-        RmwProbe::Count();
-        tracker = it->second;
-      }
-      // Version first, then the reading: if anything transitions in between,
-      // the entry inserted below is born invalid rather than wrongly valid.
-      state_version_before = it->second->state_version();
-      reading = it->second->Current();
-      cached = &reading;
-    }
-  }
-  RuntimeCounters::Tally counts;
-  EstimateResponse response =
-      EstimateWithSnapshot(*snapshot, *stale_keys, request, cached, counts);
-  if (try_cache) {
-    ++counts[RuntimeCounter::estimate_cache_misses];
-    MaybeCacheResponse(*snapshot, request, response, tracker,
-                       state_version_before, reading);
-  }
-  // One flush into the calling thread's own shard: plain stores, no shared
-  // atomic RMW (unless this thread landed on the overflow shard).
-  counters_.Local().Add(counts);
-  estimate_latency_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::steady_clock::now() - started));
+  Price(guard, &request, 1, &response, nullptr, /*batch=*/false);
   return response;
 }
 
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) const {
-  const auto started = std::chrono::steady_clock::now();
-  counters_.Local().Add(RuntimeCounter::batches);
   std::vector<EstimateResponse> responses(requests.size());
-  if (requests.empty()) return responses;
-
-  // One snapshot and one probe fetch per distinct site for the whole batch:
-  // the per-request work is then pure arithmetic over immutable data. The
-  // tracker and its pre-reading state version ride along so computed
-  // responses can be inserted into the estimate cache.
-  //
-  // The caller's epoch guard pins the raw snapshots for the whole batch,
-  // workers included: ParallelFor blocks this thread until every chunk
-  // completes, so no retired catalog can be reclaimed while a worker still
-  // reads it (the workers' accesses happen-before the caller's unpin).
-  struct SiteProbe {
-    ProbeReading reading;
-    std::shared_ptr<ContentionTracker> tracker;
-    uint64_t state_version_before = 0;
-  };
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
-  const StaleKeySet* stale_keys = stale_keys_.Read(guard);
-  const TrackerMap* tracker_map = trackers_.Read(guard);
-  const bool use_cache = cache_.enabled();
-  const uint64_t epoch = snapshot->revision();
-  // Invalid items are rejected without being priced; the amortized-latency
-  // record below must not count them (the soak's conservation checker
-  // flags count(estimate_latency) > requests). Cold once-per-chunk RMW.
-  std::atomic<uint64_t> invalid_total{0};
-  std::map<std::string, SiteProbe> site_probes;
-  for (const EstimateRequest& request : requests) {
-    if (request.probing_cost >= 0.0) continue;
-    if (site_probes.count(request.site) > 0) continue;
-    SiteProbe probe;
-    if (const auto it = tracker_map->find(request.site);
-        it != tracker_map->end()) {
-      RmwProbe::Count();  // tracker pin: once per distinct site per batch
-      probe.tracker = it->second;
-      probe.state_version_before = probe.tracker->state_version();
-      probe.reading = probe.tracker->Current();
-    }
-    site_probes.emplace(request.site, std::move(probe));
-  }
-
-  pool_.ParallelFor(
-      requests.size(), config_.batch_grain, [&](size_t begin, size_t end) {
-        // Batches concentrate on few (site, class) pairs; memoize per pair
-        // everything that is batch-invariant. With a cached probe the
-        // contention state — and therefore the active compiled equation row
-        // — is fixed for the whole batch: the scan pass resolves each
-        // pair's state once and collects its requests into a group, and a
-        // flush pass gathers every group's selected features into
-        // contiguous rows and streams them through
-        // CompiledEquations::EvaluateRowsInState — one pinned coefficient
-        // row, unit-stride loads, bit-exact with the scalar path.
-        // Counters are flushed once per chunk instead of once per request.
-        struct MemoEntry {
-          const std::string* site;
-          core::QueryClassId class_id;
-          const core::CompiledEquations* equations;  // serving form
-          const ProbeReading* probe = nullptr;       // site's batch reading
-          // Grouped evaluation, valid when `fast`: requests indexed by
-          // `group` all evaluate state `state`'s row.
-          bool fast = false;
-          int state = -1;
-          bool stale = false;
-          bool degraded = false;     // site breaker not closed
-          bool stale_model = false;  // key flagged by the refresh daemon
-          double probing_cost = 0.0;
-          std::vector<size_t> group;  // request indices awaiting the flush
-        };
-        std::vector<MemoEntry> memo;
-        memo.reserve(8);
-        RuntimeCounters::Tally counts;
-        const auto cache_insert = [&](const EstimateRequest& request,
-                                      const EstimateResponse& response) {
-          if (!use_cache || request.probing_cost >= 0.0) return;
-          const auto it = site_probes.find(request.site);
-          if (it == site_probes.end()) return;
-          MaybeCacheResponse(*snapshot, request, response, it->second.tracker,
-                             it->second.state_version_before,
-                             it->second.reading);
-        };
-        for (size_t i = begin; i < end; ++i) {
-          const EstimateRequest& request = requests[i];
-          if (!RequestIsValid(request)) {
-            ++counts[RuntimeCounter::invalid_requests];
-            responses[i].status = EstimateStatus::kInvalidRequest;
-            continue;
-          }
-          if (use_cache && request.probing_cost < 0.0) {
-            if (cache_.Lookup(request.site,
-                              static_cast<int>(request.class_id),
-                              request.features, epoch, &responses[i])) {
-              ++counts[RuntimeCounter::estimate_cache_hits];
-              continue;
-            }
-            ++counts[RuntimeCounter::estimate_cache_misses];
-          }
-          size_t entry_index = memo.size();
-          for (size_t m = 0; m < memo.size(); ++m) {
-            if (memo[m].class_id == request.class_id &&
-                *memo[m].site == request.site) {
-              entry_index = m;
-              break;
-            }
-          }
-          if (entry_index == memo.size()) {
-            MemoEntry fresh;
-            fresh.site = &request.site;
-            fresh.class_id = request.class_id;
-            fresh.equations =
-                snapshot->FindCompiled(request.site, request.class_id);
-            if (fresh.equations != nullptr && !stale_keys->empty()) {
-              fresh.stale_model =
-                  stale_keys->count(std::make_pair(
-                      request.site, static_cast<int>(request.class_id))) > 0;
-            }
-            const auto it = site_probes.find(request.site);
-            if (it != site_probes.end()) fresh.probe = &it->second.reading;
-            if (fresh.equations != nullptr && fresh.probe != nullptr &&
-                fresh.probe->has_value) {
-              fresh.fast = true;
-              fresh.probing_cost = fresh.probe->probing_cost;
-              fresh.stale = fresh.probe->stale;
-              fresh.degraded = fresh.probe->degraded;
-              fresh.state = fresh.equations->StateOf(fresh.probing_cost);
-            }
-            memo.push_back(std::move(fresh));
-          }
-
-          MemoEntry& entry = memo[entry_index];
-          EstimateResponse& response = responses[i];
-          ++counts[RuntimeCounter::requests];
-          if (entry.fast && request.probing_cost < 0.0) {
-            // Width-check now (same abort point as the scalar path), defer
-            // the arithmetic to the grouped flush below.
-            entry.equations->CheckFeatureWidth(request.features);
-            entry.group.push_back(i);
-            continue;
-          }
-          if (entry.equations == nullptr) {
-            ++counts[RuntimeCounter::no_model];
-            response.status = EstimateStatus::kNoModel;
-            continue;
-          }
-          if (entry.stale_model) {
-            response.stale_model = true;
-            ++counts[RuntimeCounter::stale_model_served];
-          }
-          const ProbeReading* cached =
-              request.probing_cost < 0.0 ? entry.probe : nullptr;
-          if (!ResolveProbe(request, cached, response, counts)) continue;
-          entry.equations->CheckFeatureWidth(request.features);
-          response.status = EstimateStatus::kOk;
-          response.model_generation = entry.equations->generation();
-          response.state = entry.equations->StateOf(response.probing_cost);
-          response.estimate_seconds = entry.equations->EvaluateInState(
-              request.features.data(), response.state);
-          cache_insert(request, response);
-        }
-
-        // Grouped flush: per (site, class) group, gather the selected
-        // features into packed rows and evaluate the whole group against
-        // its one resolved state row. Scratch is reused across groups.
-        std::vector<double> packed;
-        std::vector<double> estimates;
-        for (MemoEntry& entry : memo) {
-          if (entry.group.empty()) continue;
-          const size_t k = entry.equations->num_selected();
-          packed.resize(entry.group.size() * k);
-          estimates.resize(entry.group.size());
-          for (size_t g = 0; g < entry.group.size(); ++g) {
-            entry.equations->GatherSelected(
-                requests[entry.group[g]].features.data(),
-                packed.data() + g * k);
-          }
-          entry.equations->EvaluateRowsInState(
-              entry.state, packed.data(), entry.group.size(),
-              estimates.data());
-          for (size_t g = 0; g < entry.group.size(); ++g) {
-            const size_t i = entry.group[g];
-            EstimateResponse& response = responses[i];
-            response.status = EstimateStatus::kOk;
-            response.model_generation = entry.equations->generation();
-            response.probing_cost = entry.probing_cost;
-            response.stale_probe = entry.stale;
-            response.state = entry.state;
-            response.estimate_seconds = estimates[g];
-            if (entry.degraded) {
-              response.degraded = true;
-              ++counts[RuntimeCounter::degraded_served];
-            }
-            if (entry.stale_model) {
-              response.stale_model = true;
-              ++counts[RuntimeCounter::stale_model_served];
-            }
-            ++counts[entry.stale ? RuntimeCounter::probe_cache_stale
-                                 : RuntimeCounter::probe_cache_hits];
-            cache_insert(requests[i], response);
-          }
-        }
-        const uint64_t invalid = counts[RuntimeCounter::invalid_requests];
-        if (invalid > 0) {
-          RmwProbe::Count();
-          invalid_total.fetch_add(invalid, std::memory_order_relaxed);
-        }
-        counters_.Local().Add(counts);
-      });
-
-  // Amortized per-item latency: the batch's wall time spread over the items
-  // actually priced (invalid rejects recorded no work).
-  const uint64_t priced =
-      requests.size() - invalid_total.load(std::memory_order_relaxed);
-  if (priced > 0) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - started);
-    estimate_latency_.RecordN(elapsed / static_cast<int64_t>(priced), priced);
-  }
+  Price(guard, requests.data(), requests.size(), responses.data(), nullptr,
+        /*batch=*/true);
   return responses;
-}
-
-PlacementResult EstimationService::ChoosePlacement(
-    const std::vector<PlacementCandidate>& candidates) const {
-  return ChoosePlacement(candidates, PlacementOptions{});
 }
 
 PlacementResult EstimationService::ChoosePlacement(
     const std::vector<PlacementCandidate>& candidates,
     const PlacementOptions& options) const {
+  const size_t n = candidates.size();
   PlacementResult result;
   result.policy = options.ranking.policy;
+  result.responses.resize(n);
+  result.total_seconds.assign(n, std::numeric_limits<double>::infinity());
+  result.scores.assign(n, std::numeric_limits<double>::infinity());
+  result.distributions.resize(n);
   std::vector<EstimateRequest> requests;
-  requests.reserve(candidates.size());
+  requests.reserve(n);
   for (const PlacementCandidate& c : candidates) requests.push_back(c.request);
-  result.responses = EstimateBatch(requests);
 
-  result.total_seconds.resize(candidates.size(),
-                              std::numeric_limits<double>::infinity());
-  result.scores.resize(candidates.size(),
-                       std::numeric_limits<double>::infinity());
-  result.distributions.resize(candidates.size());
-
-  // One epoch guard pins the catalog for the distribution pass. The snapshot
-  // may be newer than the one EstimateBatch priced under (a registration can
-  // land in between); the width check below keeps a re-registered model from
-  // reading past a shorter feature vector, and the distribution then simply
-  // reflects the newer model — same freshness contract as two back-to-back
-  // estimates.
+  // One pin for pricing and ranking: each candidate's distribution comes
+  // from the very model that priced its estimate.
+  std::vector<const core::CompiledEquations*> models(n, nullptr);
   EpochGuard guard;
-  const core::GlobalCatalog* snapshot = catalog_.Read(guard);
+  Price(guard, requests.data(), n, result.responses.data(), models.data(),
+        /*batch=*/true);
 
   double best_score = std::numeric_limits<double>::infinity();
   double best_point = std::numeric_limits<double>::infinity();
   int point_chosen = -1;
-  for (size_t i = 0; i < candidates.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const EstimateResponse& response = result.responses[i];
     if (!response.ok()) continue;
     const double total =
         response.estimate_seconds + candidates[i].shipping_seconds;
     result.total_seconds[i] = total;
 
-    core::CostDistribution distribution;
-    const core::CompiledEquations* equations = snapshot->FindCompiled(
-        candidates[i].request.site, candidates[i].request.class_id);
-    if (equations != nullptr &&
-        candidates[i].request.features.size() >= equations->min_features()) {
-      distribution = equations->EvaluateDistribution(
-          candidates[i].request.features, response.probing_cost,
-          options.ranking.boundary_band_fraction);
-    } else {
-      // Model vanished between the batch and this pass: degenerate to the
-      // point estimate (zero width) rather than dropping the candidate.
-      distribution.mean = response.estimate_seconds;
-      distribution.low = response.estimate_seconds;
-      distribution.high = response.estimate_seconds;
-    }
+    core::CostDistribution distribution = models[i]->EvaluateDistribution(
+        candidates[i].request.features, response.probing_cost,
+        options.ranking.boundary_band_fraction);
     distribution.stale = response.stale_probe || response.stale_model;
     distribution.degraded = response.degraded;
     result.distributions[i] = distribution;
@@ -907,7 +848,6 @@ PlacementResult EstimationService::ChoosePlacement(
   }
   return result;
 }
-
 RuntimeStatsSnapshot EstimationService::Stats() const {
   RuntimeStatsSnapshot out;
   RuntimeCounters::Tally rows = counters_.Sum();

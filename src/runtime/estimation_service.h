@@ -15,10 +15,15 @@
 // Responses carry the contention state used, and a `stale_probe` flag when
 // the cached probe has outlived its TTL (last-known-state fallback).
 //
-// EstimateBatch() prices many requests in one call — the federated-join
-// planner prices every candidate placement of every component query at
-// once — amortizing snapshot acquisition and per-site probe lookups over
-// the batch and optionally fanning chunks out on a worker pool.
+// Every request is priced by one pass: under one epoch pin it reads one
+// catalog snapshot and one probe reading per distinct site, resolves each
+// request's model, probe and state, answers a short feature vector with
+// kInvalidRequest, evaluates the rest in (site, class, state) groups, fills
+// each response in one place and caches what is cacheable. Estimate() runs
+// it over one request behind the cache-hit front end; EstimateBatch() runs
+// it over many — the federated-join planner prices every candidate
+// placement of every component query at once — fanning chunks out on a
+// worker pool; ChoosePlacement() ranks under the same pin it priced with.
 
 #ifndef MSCM_RUNTIME_ESTIMATION_SERVICE_H_
 #define MSCM_RUNTIME_ESTIMATION_SERVICE_H_
@@ -221,16 +226,13 @@ class EstimationService {
       const std::vector<EstimateRequest>& requests) const;
 
   // Prices all candidate placements of a component query in one batch and
-  // picks the cheapest total (local estimate + result shipping).
-  PlacementResult ChoosePlacement(
-      const std::vector<PlacementCandidate>& candidates) const;
-
-  // As above, ranking under `options` (least-expected-cost / risk-adjusted
-  // placement). With default options the chosen index matches the legacy
-  // overload exactly; distributions and scores are served either way.
+  // ranks them under `options`: by default the cheapest total (local
+  // estimate + result shipping), or least-expected-cost / risk-adjusted.
+  // Each candidate's distribution comes from the model snapshot that priced
+  // it; distributions and scores are served under every policy.
   PlacementResult ChoosePlacement(
       const std::vector<PlacementCandidate>& candidates,
-      const PlacementOptions& options) const;
+      const PlacementOptions& options = {}) const;
 
   // ---- Introspection ------------------------------------------------------
 
@@ -260,28 +262,19 @@ class EstimationService {
   // The site's tracker, or nullptr (lock-free snapshot read).
   std::shared_ptr<ContentionTracker> FindTracker(const std::string& site) const;
 
-  // Resolves the probe for a request: explicit value, or the site's cached
-  // reading (counting hit/stale/miss into `counts`).
-  bool ResolveProbe(const EstimateRequest& request,
-                    const ProbeReading* cached_reading,
-                    EstimateResponse& response,
-                    RuntimeCounters::Tally& counts) const;
-
-  EstimateResponse EstimateWithSnapshot(const core::GlobalCatalog& catalog,
-                                        const StaleKeySet& stale_keys,
-                                        const EstimateRequest& request,
-                                        const ProbeReading* cached_reading,
-                                        RuntimeCounters::Tally& counts) const;
-
-  // Caches `response` keyed under `catalog`'s revision if it is cacheable:
-  // served OK from a fresh tracker reading. `state_version_before` is the
-  // tracker's version loaded before `reading` was taken.
-  void MaybeCacheResponse(const core::GlobalCatalog& catalog,
-                          const EstimateRequest& request,
-                          const EstimateResponse& response,
-                          const std::shared_ptr<ContentionTracker>& tracker,
-                          uint64_t state_version_before,
-                          const ProbeReading& reading) const;
+  // The pricing pass (estimation_service.cc): prices requests[0, n) into
+  // responses[0, n) from the snapshots `guard` pins, fanning chunks out on
+  // the worker pool, and records the call's latency over the items it
+  // priced. `models`, when not null, receives each item's resolved model
+  // (valid while `guard` lives). A `batch` counts one batch and consults the
+  // estimate cache per item; a single estimate arrives after Estimate's
+  // front end consulted it.
+  struct Pass;
+  void Price(const EpochGuard& guard, const EstimateRequest* requests,
+             size_t n, EstimateResponse* responses,
+             const core::CompiledEquations** models, bool batch) const;
+  // One chunk of a pass: the scan and the grouped flush.
+  void PriceChunk(const Pass& pass, size_t begin, size_t end) const;
 
   // Flips the stale flag for a key; caller must hold control_mutex_.
   void SetModelStaleLocked(const std::string& site,

@@ -140,8 +140,8 @@ struct CounterRow {
 template <typename Row, size_t N>
 class ShardedCounters {
  public:
-  // Row values off the shards: a request's counts tallied on the stack and
-  // flushed with one Add(), or a Sum() of every shard.
+  // Row values off the shards: a Sum() of every shard, or rows an owner
+  // keeps by hand (a site tracker's rows, the totals of retired trackers).
   struct Tally {
     uint64_t& operator[](Row row) { return values[static_cast<size_t>(row)]; }
     uint64_t operator[](Row row) const {
@@ -158,25 +158,18 @@ class ShardedCounters {
   struct alignas(64) Shard {
     // Increment for the shard's owner: plain load+store on a per-thread
     // shard, fetch_add on the shared overflow shard.
-    void Add(Row row, uint64_t n = 1) { AddAt(static_cast<size_t>(row), n); }
-    void Add(const Tally& tally) {
-      for (size_t i = 0; i < N; ++i) {
-        if (tally.values[i] != 0) AddAt(i, tally.values[i]);
+    void Add(Row row, uint64_t n = 1) {
+      std::atomic<uint64_t>& value = values[static_cast<size_t>(row)];
+      if (shared_writers) {
+        RmwProbe::Count();
+        value.fetch_add(n, std::memory_order_relaxed);
+      } else {
+        StoreAdd(value, n);
       }
     }
 
     std::atomic<uint64_t> values[N] = {};
     bool shared_writers = false;  // true only for the overflow shard
-
-   private:
-    void AddAt(size_t i, uint64_t n) {
-      if (shared_writers) {
-        RmwProbe::Count();
-        values[i].fetch_add(n, std::memory_order_relaxed);
-      } else {
-        StoreAdd(values[i], n);
-      }
-    }
   };
 
   ShardedCounters() { overflow_.shared_writers = true; }
@@ -243,7 +236,7 @@ class ShardedCounters {
   ROW(breaker_opens, kCounter)       /* breaker transitions into open */      \
   ROW(degraded_sites, kGauge)        /* sites whose breaker is not closed */  \
   ROW(degraded_served, kCounter)     /* priced from a degraded site */        \
-  ROW(invalid_requests, kCounter)    /* rejected at the service boundary */   \
+  ROW(invalid_requests, kCounter)    /* unpriceable: non-finite, too short */ \
   ROW(catalog_swaps, kCounter)       /* snapshot publications */              \
   ROW(stale_model_served, kCounter)  /* priced from a drift-flagged model */  \
   ROW(stale_models, kGauge)          /* (site, class) keys flagged stale */   \

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/explanatory.h"
 #include "net/client.h"
 #include "net/served_runtime.h"
@@ -458,6 +459,105 @@ TEST_F(NetServerTest, ManyConcurrentConnections) {
 }
 
 // ---- Wire-boundary validation ----------------------------------------------
+
+// Every frame the wire decoder accepts is answered with its own response
+// type, short feature vectors included: an item carrying fewer features
+// than its (site, class) model reads is answered kInvalidRequest, and the
+// server keeps serving.
+TEST_F(NetServerTest, EveryDecodableRequestIsAnswered) {
+  RawConn conn(served_->port());
+  ASSERT_TRUE(conn.connected());
+  const auto catalog = served_->service().CatalogSnapshot();
+  const std::string sites[] = {"site0", "site1", "ghost"};
+  const double probing_costs[] = {-1.0, 0.5, 3.5};
+  Rng rng(1017);
+  const auto draw = [&] {
+    EstimateRequest request;
+    request.site = sites[rng.UniformInt(0, 2)];
+    request.class_id = static_cast<core::QueryClassId>(rng.UniformInt(
+        0, static_cast<int64_t>(core::QueryClassId::kJoinIndex)));
+    request.features.resize(static_cast<size_t>(rng.UniformInt(0, 6)));
+    for (double& f : request.features) f = rng.Uniform(0.0, 10.0);
+    request.probing_cost = probing_costs[rng.UniformInt(0, 2)];
+    return request;
+  };
+  int short_items = 0;
+  const auto check = [&](const EstimateRequest& request,
+                         const EstimateResponse& response) {
+    const core::CompiledEquations* equations =
+        catalog->FindCompiled(request.site, request.class_id);
+    if (equations != nullptr &&
+        request.features.size() < equations->min_features()) {
+      ++short_items;
+      EXPECT_EQ(response.status, EstimateStatus::kInvalidRequest);
+    } else {
+      EXPECT_NE(response.status, EstimateStatus::kInvalidRequest);
+    }
+  };
+  // Sends one frame and returns its answer, which must echo `id` and carry
+  // `type`.
+  const auto exchange = [&conn](MessageType type, uint32_t id,
+                                const std::vector<uint8_t>& payload,
+                                MessageType answer_type) {
+    EXPECT_TRUE(conn.SendAll(EncodeFrame(type, id, payload)));
+    std::optional<Frame> answer = conn.ReadFrame();
+    EXPECT_TRUE(answer.has_value()) << "no answer to frame " << id;
+    if (!answer.has_value()) return std::vector<uint8_t>{};
+    EXPECT_EQ(answer->type, static_cast<uint8_t>(answer_type)) << id;
+    EXPECT_EQ(answer->request_id, id);
+    return answer->payload;
+  };
+
+  for (uint32_t id = 1; id <= 90; ++id) {
+    if (id % 3 == 1) {
+      const EstimateRequest request = draw();
+      WireWriter w;
+      EncodeEstimateRequest(request, w);
+      const auto response = DecodeEstimateResponsePayload(
+          exchange(MessageType::kEstimateRequest, id, w.bytes(),
+                   MessageType::kEstimateResponse));
+      ASSERT_TRUE(response.has_value()) << id;
+      check(request, *response);
+    } else if (id % 3 == 2) {
+      std::vector<EstimateRequest> requests;
+      for (int i = 0; i < 8; ++i) requests.push_back(draw());
+      const auto responses = DecodeEstimateBatchResponsePayload(
+          exchange(MessageType::kEstimateBatchRequest, id,
+                   EncodeEstimateBatchRequest(requests),
+                   MessageType::kEstimateBatchResponse));
+      ASSERT_TRUE(responses.has_value()) << id;
+      ASSERT_EQ(responses->size(), requests.size()) << id;
+      for (size_t i = 0; i < requests.size(); ++i) {
+        check(requests[i], (*responses)[i]);
+      }
+    } else {
+      std::vector<PlacementCandidate> candidates(3);
+      for (PlacementCandidate& candidate : candidates) {
+        candidate.request = draw();
+        candidate.shipping_seconds = rng.Uniform(0.0, 5.0);
+      }
+      const auto result = DecodePlacementResponsePayload(
+          exchange(MessageType::kPlacementRequest, id,
+                   EncodePlacementRequest(candidates),
+                   MessageType::kPlacementResponse));
+      ASSERT_TRUE(result.has_value()) << id;
+      ASSERT_EQ(result->responses.size(), candidates.size()) << id;
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        check(candidates[i].request, result->responses[i]);
+      }
+    }
+  }
+  EXPECT_GT(short_items, 0);
+
+  // Still serving: a valid estimate comes back priced.
+  WireWriter w;
+  EncodeEstimateRequest(ValidRequest(), w);
+  const auto last = DecodeEstimateResponsePayload(
+      exchange(MessageType::kEstimateRequest, 1000, w.bytes(),
+               MessageType::kEstimateResponse));
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->status, EstimateStatus::kOk);
+}
 
 TEST_F(NetServerTest, UnknownSiteIsANormalNoModelResponse) {
   NetClient client;

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "runtime/clock.h"
@@ -121,43 +126,128 @@ TEST(EstimationServiceTest, StaleProbeIsServedAndFlagged) {
   EXPECT_EQ(service.Stats().probe_cache_stale, 1u);
 }
 
+// Every response field, the estimate and probing cost compared bit for bit.
+void ExpectSameResponse(const EstimateResponse& a, const EstimateResponse& b,
+                        size_t i) {
+  EXPECT_EQ(a.status, b.status) << i;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.estimate_seconds),
+            std::bit_cast<uint64_t>(b.estimate_seconds))
+      << i;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.probing_cost),
+            std::bit_cast<uint64_t>(b.probing_cost))
+      << i;
+  EXPECT_EQ(a.state, b.state) << i;
+  EXPECT_EQ(a.stale_probe, b.stale_probe) << i;
+  EXPECT_EQ(a.stale_model, b.stale_model) << i;
+  EXPECT_EQ(a.degraded, b.degraded) << i;
+  EXPECT_EQ(a.model_generation, b.model_generation) << i;
+}
+
+// Singles, one fanned-out batch and a placement over the same requests give
+// the same answers and move the same counters: every status, a stale-flagged
+// key and a degraded site included.
 TEST(EstimationServiceTest, BatchMatchesSingleRequests) {
   EstimationServiceConfig config;
   config.worker_threads = 2;
   config.batch_grain = 16;
+  config.probe_ttl = std::chrono::hours(1);
+  config.breaker.failure_threshold = 1;
+  config.breaker.open_duration = std::chrono::hours(1);
   EstimationService service(config);
   const auto g1 = QueryClassId::kUnarySeqScan;
   const auto g3 = QueryClassId::kJoinNoIndex;
   service.RegisterModel("a", test::PiecewiseLinearModel(g1, {2.0, 5.0}));
   service.RegisterModel("a", test::PiecewiseLinearModel(g3, {3.0}));
   service.RegisterModel("b", test::PiecewiseLinearModel(g1, {7.0}));
+  service.RegisterModel("c", test::PiecewiseLinearModel(g1, {4.0}));  // no site
+  service.RegisterModel("d", test::PiecewiseLinearModel(g1, {6.0, 1.0}));
   service.RegisterSite("a", [] { return 0.5; });
   service.RegisterSite("b", [] { return 1.5; });
-  service.ProbeNow("a");
-  service.ProbeNow("b");
+  std::atomic<bool> d_down{false};
+  service.RegisterSite("d", [&d_down]() -> double {
+    if (d_down.load()) throw std::runtime_error("site down");
+    return 1.5;
+  });
+  ASSERT_TRUE(service.ProbeNow("a"));
+  ASSERT_TRUE(service.ProbeNow("b"));
+  ASSERT_TRUE(service.ProbeNow("d"));
+  d_down.store(true);
+  EXPECT_FALSE(service.ProbeNow("d"));
+  ASSERT_TRUE(service.IsSiteDegraded("d"));
+  service.SetModelStale("b", g1, true);
 
+  const std::string sites[] = {"a", "b", "c", "d", "ghost"};
   Rng rng(3);
   std::vector<EstimateRequest> requests;
-  for (int i = 0; i < 200; ++i) {
-    const bool site_a = rng.NextDouble() < 0.5;
+  for (int i = 0; i < 240; ++i) {
     const auto cls = rng.NextDouble() < 0.5 ? g1 : g3;
-    EstimateRequest request =
-        Request(site_a ? "a" : "b", cls, rng.Uniform(1.0, 10.0));
+    EstimateRequest request = Request(sites[rng.UniformInt(0, 4)], cls,
+                                      rng.Uniform(1.0, 10.0));
     if (rng.NextDouble() < 0.3) request.probing_cost = rng.Uniform(0.0, 2.0);
+    const double kind = rng.NextDouble();
+    if (kind < 0.05) {
+      request.features[0] = std::nan("");
+    } else if (kind < 0.1) {
+      request.features.clear();  // shorter than every model's remap
+    }
     requests.push_back(std::move(request));
   }
+  // One of each answer regardless of the draw.
+  requests.push_back(Request("ghost", g1, 2.0));       // no model
+  requests.push_back(Request("c", g1, 2.0));           // no probe
+  requests.push_back(Request("b", g1, 2.0));           // stale model
+  requests.push_back(Request("d", g1, 2.0));           // degraded
+  requests.push_back(Request("a", g1, 2.0, 1.5));      // explicit probe
+  requests.push_back(Request("a", g3, std::nan("")));  // non-finite
+  requests.push_back(Request("a", g1, 2.0));
+  requests.back().features.clear();                    // short vector
 
+  const RuntimeStatsSnapshot before = service.Stats();
   const std::vector<EstimateResponse> batched =
       service.EstimateBatch(requests);
+  const RuntimeStatsSnapshot after_batch = service.Stats();
   ASSERT_EQ(batched.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const EstimateResponse single = service.Estimate(requests[i]);
-    EXPECT_EQ(batched[i].status, single.status) << i;
-    EXPECT_EQ(batched[i].state, single.state) << i;
-    EXPECT_DOUBLE_EQ(batched[i].estimate_seconds, single.estimate_seconds)
-        << i;
+  std::vector<EstimateResponse> singles;
+  for (const EstimateRequest& request : requests) {
+    singles.push_back(service.Estimate(request));
   }
-  EXPECT_EQ(service.Stats().batches, 1u);
+  const RuntimeStatsSnapshot after_singles = service.Stats();
+
+  std::set<EstimateStatus> statuses;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectSameResponse(batched[i], singles[i], i);
+    statuses.insert(singles[i].status);
+  }
+  EXPECT_EQ(statuses.size(), 4u);  // ok, no model, no probe, invalid
+  const size_t n = requests.size();
+  EXPECT_EQ(singles[n - 7].status, EstimateStatus::kNoModel);
+  EXPECT_EQ(singles[n - 6].status, EstimateStatus::kNoProbe);
+  EXPECT_TRUE(singles[n - 5].stale_model);
+  EXPECT_TRUE(singles[n - 4].degraded);
+  EXPECT_EQ(singles[n - 2].status, EstimateStatus::kInvalidRequest);
+  EXPECT_EQ(singles[n - 1].status, EstimateStatus::kInvalidRequest);
+
+  for (const StatsCounterField& row : StatsCounterFields()) {
+    const uint64_t batch_moved = after_batch.*row.field - before.*row.field;
+    const uint64_t singles_moved =
+        after_singles.*row.field - after_batch.*row.field;
+    if (std::string(row.name) == "batches") {
+      EXPECT_EQ(batch_moved, 1u);
+      EXPECT_EQ(singles_moved, 0u);
+    } else {
+      EXPECT_EQ(batch_moved, singles_moved) << row.name;
+    }
+  }
+
+  std::vector<PlacementCandidate> candidates;
+  for (const EstimateRequest& request : requests) {
+    candidates.push_back({request, 0.0});
+  }
+  const PlacementResult placed = service.ChoosePlacement(candidates);
+  ASSERT_EQ(placed.responses.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ExpectSameResponse(placed.responses[i], batched[i], i);
+  }
 }
 
 TEST(EstimationServiceTest, ChoosePlacementPicksCheapestTotal) {
