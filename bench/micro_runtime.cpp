@@ -13,6 +13,12 @@
 //                  requests cycled repeatedly (cache disabled)
 //   hot x1 cached — same hot loop with the estimate cache enabled; the
 //                  derived cached_hot_loop_speedup_x is hot-cached / hot
+//   batch x1 cached — batch x1 with the estimate cache on, over at least
+//                  16x the per-thread cache in distinct keys (as
+//                  perfbench's serve_batch): every item misses and is
+//                  inserted, the path mscm_served pays on batch frames.
+//                  Its shared_rmw_per_request must read as batch x1's: an
+//                  insert performs no shared RMW
 //   compiled batch — one thread, EstimateBatch() over the hot working set
 //                  (cache disabled): the blocked loop over compiled rows
 //   termwalk x1  — raw-model hot loop through the retired per-term walk
@@ -79,7 +85,9 @@
 // MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
 // `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
 // JSON write, and fails (exit 1) if any of these hold: the cached hot path
-// performed a shared atomic RMW per request, degraded_overhead_x fell below
+// performed a shared atomic RMW per request, batch x1 cached read other
+// than batch x1's shared RMWs per request (to 3 decimals, where one extra
+// RMW per 512-item batch shows), degraded_overhead_x fell below
 // 0.8x (orientation check), expected-cost placement did not strictly beat
 // point-estimate placement on wrong-site rate in the boundary-jitter duel,
 // placement_expected_cost_wins stayed zero, the drift-recovery duel failed
@@ -117,6 +125,8 @@ using namespace mscm;
 using Clock = std::chrono::steady_clock;
 
 constexpr size_t kBatch = 512;
+// Estimate-cache entries per thread in the cached rows, as mscm_served runs.
+constexpr size_t kCachePerThread = 4096;
 
 size_t EnvCount(const char* name, size_t fallback) {
   const char* env = std::getenv(name);
@@ -233,7 +243,7 @@ std::unique_ptr<runtime::EstimationService> MakeService(bool cached,
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
   config.worker_threads = 0;  // reader threads are the parallelism measured
-  if (cached) config.cache.capacity_per_thread = 4096;
+  if (cached) config.cache.capacity_per_thread = kCachePerThread;
   if (degraded) {
     config.breaker.failure_threshold = 1;
     config.breaker.open_duration = std::chrono::hours(1);  // stays open
@@ -1145,6 +1155,21 @@ int main(int argc, char** argv) {
                 "0",
                 Format("%llu",
                        static_cast<unsigned long long>(fleet.cache_hits))});
+
+  // Batch pricing of distinct keys with the cache on: every item misses and
+  // is inserted (results[14]).
+  const Scenario batch_cached{"batch x1 cached", 1, /*batched=*/true, false,
+                              false, /*cached=*/true};
+  results.push_back(RunBestOf(
+      batch_cached, MakeWorkload(std::max(n, 16 * kCachePerThread)), reps,
+      window));
+  const Result& batch_cached_result = results.back();
+  table.AddRow({batch_cached.name, Format("%.0f", batch_cached_result.qps),
+                Format("%.2f", batch_cached_result.p50_us),
+                Format("%.2f", batch_cached_result.p99_us),
+                Format("%.2f", batch_cached_result.rmw_per_request), "0",
+                Format("%llu", static_cast<unsigned long long>(
+                                   batch_cached_result.cache_hits))});
   std::printf("%s\n", table.Render().c_str());
   if (8u > effective_hw) {
     std::printf("* oversubscribed: more reader threads than the machine's %u "
@@ -1209,6 +1234,15 @@ int main(int argc, char** argv) {
               degraded_overhead.max);
   std::printf("cached hot path shared RMWs per request:   %.3f (want 0)\n",
               results[8].rmw_per_request);
+  // Compared to 3 decimals, as the JSON prints them: one extra RMW per
+  // 512-item batch moves the third.
+  const auto thousandths = [](double v) { return std::lround(v * 1000.0); };
+  const bool insert_rmw_free =
+      thousandths(batch_cached_result.rmw_per_request) ==
+      thousandths(results[1].rmw_per_request);
+  std::printf("batch x1 cached / batch x1 shared RMWs:    %.3f / %.3f "
+              "per request (want equal)\n",
+              batch_cached_result.rmw_per_request, results[1].rmw_per_request);
   std::printf("placement wrong-site rate point/expected:  %.3f / %.3f "
               "(%llu trials)\n",
               jitter.wrong_point_rate, jitter.wrong_expected_rate,
@@ -1237,6 +1271,14 @@ int main(int argc, char** argv) {
                   "atomic RMWs per request; the epoch read path + per-thread "
                   "cache/counters should make it exactly 0\n",
                   results[8].rmw_per_request);
+      fail = true;
+    }
+    if (!insert_rmw_free) {
+      std::printf("\nSMOKE FAIL: batch x1 cached performed %.3f shared "
+                  "atomic RMWs per request against batch x1's %.3f; an "
+                  "estimate-cache insert should add none\n",
+                  batch_cached_result.rmw_per_request,
+                  results[1].rmw_per_request);
       fail = true;
     }
     if (!(degraded_overhead.median >= 0.8)) {
@@ -1358,6 +1400,8 @@ int main(int argc, char** argv) {
                  honest_scaling.max);
     std::fprintf(json, "  \"cached_hot_shared_rmw_per_request\": %.3f,\n",
                  results[8].rmw_per_request);
+    std::fprintf(json, "  \"cached_batch_shared_rmw_per_request\": %.3f,\n",
+                 batch_cached_result.rmw_per_request);
     std::fprintf(json, "  \"cached_hot_loop_speedup_x\": %.3f,\n",
                  hot_cached_qps / hot_qps);
     std::fprintf(json, "  \"compiled_hot_loop_speedup_x\": %.3f,\n",

@@ -9,6 +9,8 @@
 #ifndef MSCM_CORE_EXPLANATORY_H_
 #define MSCM_CORE_EXPLANATORY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,13 @@ struct VariableDef {
 
 class VariableSet {
  public:
+  // Paper Table 3's set sizes: ForClass returns 7 variables for a unary
+  // class and 12 for a join class.
+  static constexpr size_t kUnarySize = 7;
+  static constexpr size_t kJoinSize = 12;
+  // The widest set of any class.
+  static constexpr size_t kMaxSize = std::max(kUnarySize, kJoinSize);
+
   static VariableSet ForClass(QueryClassId id);
 
   size_t size() const { return defs_.size(); }

@@ -78,7 +78,13 @@ void NetClient::Close() {
 RpcStatus NetClient::SendFrame(MessageType type, uint32_t request_id,
                                const std::vector<uint8_t>& payload) {
   if (fd_ < 0) return Transport("send on closed client");
-  const std::vector<uint8_t> bytes = EncodeFrame(type, request_id, payload);
+  // Framed into the client's own buffer, reused call to call.
+  send_buf_.clear();
+  AppendFrame(&send_buf_, type, request_id, payload.size(),
+              [&](WireWriter& w) {
+                w.PutBytes(payload.data(), payload.size());
+              });
+  const std::vector<uint8_t>& bytes = send_buf_;
   size_t sent = 0;
   while (sent < bytes.size()) {
     const ssize_t n =
@@ -97,13 +103,15 @@ RpcStatus NetClient::SendFrame(MessageType type, uint32_t request_id,
 RpcStatus NetClient::ReadFrame(uint32_t expect_request_id, Frame* out) {
   uint8_t buf[65536];
   for (;;) {
-    if (auto frame = assembler_.Next()) {
+    if (const auto frame = assembler_.NextView()) {
       if (frame->request_id != expect_request_id) {
         // One request in flight per call: any other id is a broken peer.
         Close();
         return Protocol("response for unexpected request id");
       }
-      *out = std::move(*frame);
+      out->type = frame->type;
+      out->request_id = frame->request_id;
+      out->payload.assign(frame->payload.begin(), frame->payload.end());
       return {};
     }
     if (assembler_.broken()) {

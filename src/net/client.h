@@ -95,6 +95,7 @@ class NetClient {
   int fd_ = -1;
   uint32_t next_request_id_ = 1;
   FrameAssembler assembler_;
+  std::vector<uint8_t> send_buf_;
 };
 
 }  // namespace mscm::net

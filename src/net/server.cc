@@ -15,6 +15,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/str_util.h"
@@ -55,9 +56,11 @@ struct EstimateServer::Connection {
 
 struct EstimateServer::Loop {
   // One frame read in this wake, answered after every ready socket was read.
+  // Its payload points into conn's assembler, which no Feed touches before
+  // the answer: a wake reads each socket at most once.
   struct Gathered {
     Connection* conn;
-    Frame frame;
+    FrameView frame;
     WireError refusal;  // kNone = admitted for pricing
   };
 
@@ -74,6 +77,15 @@ struct EstimateServer::Loop {
   std::vector<Gathered> gathered;
   std::vector<Connection*> unflushed;  // gained bytes since the last flush
   std::vector<std::unique_ptr<Connection>> closed;  // freed at the wake's end
+
+  // Decode and pricing storage, reused frame to frame so that a warm frame
+  // allocates nothing. After a failed decode it holds a partly decoded
+  // message, which is never priced.
+  runtime::EstimateRequest request;
+  std::vector<runtime::EstimateRequest> batch;  // a frame uses the first n
+  std::vector<runtime::EstimateResponse> responses;
+  std::vector<runtime::PlacementCandidate> candidates;
+  runtime::FeedbackReport report;
 };
 
 // ---- Stats ------------------------------------------------------------------
@@ -338,10 +350,10 @@ void EstimateServer::ReadChunk(Loop& loop, Connection& conn) {
     SetInterest(loop, conn);
     return;
   }
-  while (auto frame = conn.assembler.Next()) {
+  while (const auto frame = conn.assembler.NextView()) {
     loop.counters->Add(NetCounter::frames_received);
     const WireError refusal = Admit(loop, frame->type);
-    loop.gathered.push_back({&conn, std::move(*frame), refusal});
+    loop.gathered.push_back({&conn, *frame, refusal});
   }
   if (conn.assembler.buffered_bytes() > config_.max_read_buffer) {
     loop.counters->Add(NetCounter::read_limit_closes);
@@ -408,8 +420,8 @@ WireError EstimateServer::Admit(Loop& loop, uint8_t type) {
   return WireError::kNone;
 }
 
-void EstimateServer::Answer(Loop& loop, Connection& conn, const Frame& frame,
-                            WireError refusal) {
+void EstimateServer::Answer(Loop& loop, Connection& conn,
+                            const FrameView& frame, WireError refusal) {
   const uint32_t id = frame.request_id;
   switch (refusal) {
     case WireError::kNone:
@@ -440,67 +452,69 @@ void EstimateServer::Answer(Loop& loop, Connection& conn, const Frame& frame,
 }
 
 void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
-                                const Frame& frame) {
+                                const FrameView& frame) {
   const uint32_t id = frame.request_id;
   const MessageType type = static_cast<MessageType>(frame.type);
   try {
     switch (type) {
       case MessageType::kEstimateRequest: {
-        WireError err = WireError::kMalformedFrame;
-        auto request = DecodeEstimateRequestPayload(frame.payload, &err);
-        if (!request.has_value()) {
-          CountBoundaryReject(loop, err);
-          QueueError(loop, conn, id, err, "bad EstimateRequest");
+        const WireError err = DecodeEstimateRequestInto(frame.payload,
+                                                        &loop.request);
+        if (err != WireError::kNone) {
+          RejectFrame(loop, conn, id, err, "bad EstimateRequest");
           return;
         }
         const runtime::EstimateResponse response =
-            service_->Estimate(*request);
+            service_->Estimate(loop.request);
         loop.counters->Add(NetCounter::estimates);
-        QueueResponse(loop, conn,
-                      EncodeFrame(MessageType::kEstimateResponse, id,
-                                  EncodeEstimateResponsePayload(response)));
+        QueueFrame(loop, conn, MessageType::kEstimateResponse, id,
+                   kEstimateResponsePayloadSize, [&](WireWriter& w) {
+                     EncodeEstimateResponsePayload(response, w);
+                   });
         return;
       }
       case MessageType::kEstimateBatchRequest: {
-        WireError err = WireError::kMalformedFrame;
-        auto requests = DecodeEstimateBatchRequestPayload(frame.payload, &err);
-        if (!requests.has_value()) {
-          CountBoundaryReject(loop, err);
-          QueueError(loop, conn, id, err, "bad EstimateBatchRequest");
+        size_t n = 0;
+        const WireError err =
+            DecodeEstimateBatchRequestInto(frame.payload, &loop.batch, &n);
+        if (err != WireError::kNone) {
+          RejectFrame(loop, conn, id, err, "bad EstimateBatchRequest");
           return;
         }
-        const std::vector<runtime::EstimateResponse> responses =
-            service_->EstimateBatch(*requests);
+        if (loop.responses.size() < n) loop.responses.resize(n);
+        const std::span<runtime::EstimateResponse> responses(
+            loop.responses.data(), n);
+        service_->EstimateBatch(
+            std::span<const runtime::EstimateRequest>(loop.batch.data(), n),
+            responses);
         loop.counters->Add(NetCounter::batches);
-        loop.counters->Add(NetCounter::batch_items, responses.size());
-        QueueResponse(loop, conn,
-                      EncodeFrame(MessageType::kEstimateBatchResponse, id,
-                                  EncodeEstimateBatchResponse(responses)));
+        loop.counters->Add(NetCounter::batch_items, n);
+        QueueFrame(loop, conn, MessageType::kEstimateBatchResponse, id,
+                   EstimateBatchResponsePayloadSize(n), [&](WireWriter& w) {
+                     EncodeEstimateBatchResponse(responses, w);
+                   });
         return;
       }
       case MessageType::kPlacementRequest: {
-        WireError err = WireError::kMalformedFrame;
         runtime::PlacementOptions options;
-        auto candidates =
-            DecodePlacementRequestPayload(frame.payload, &err, &options);
-        if (!candidates.has_value()) {
-          CountBoundaryReject(loop, err);
-          QueueError(loop, conn, id, err, "bad PlacementRequest");
+        const WireError err = DecodePlacementRequestInto(
+            frame.payload, &loop.candidates, &options);
+        if (err != WireError::kNone) {
+          RejectFrame(loop, conn, id, err, "bad PlacementRequest");
           return;
         }
         const runtime::PlacementResult result =
-            service_->ChoosePlacement(*candidates, options);
+            service_->ChoosePlacement(loop.candidates, options);
         loop.counters->Add(NetCounter::placements);
-        QueueResponse(loop, conn,
-                      EncodeFrame(MessageType::kPlacementResponse, id,
-                                  EncodePlacementResponse(result)));
+        QueueFrame(loop, conn, MessageType::kPlacementResponse, id,
+                   PlacementResponsePayloadSize(result),
+                   [&](WireWriter& w) { EncodePlacementResponse(result, w); });
         return;
       }
       case MessageType::kStatsRequest: {
         if (!frame.payload.empty()) {
-          CountBoundaryReject(loop, WireError::kMalformedFrame);
-          QueueError(loop, conn, id, WireError::kMalformedFrame,
-                     "StatsRequest carries no payload");
+          RejectFrame(loop, conn, id, WireError::kMalformedFrame,
+                      "StatsRequest carries no payload");
           return;
         }
         loop.counters->Add(NetCounter::stats_requests);
@@ -509,27 +523,29 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
         for (const auto& row : NetCounterRows()) {
           net_entries[std::string("net.") + row.name] = net.*row.field;
         }
-        QueueResponse(loop, conn,
-                      EncodeFrame(MessageType::kStatsResponse, id,
-                                  EncodeStats(service_->Stats(), net_entries)));
+        const std::vector<uint8_t> payload =
+            EncodeStats(service_->Stats(), net_entries);
+        QueueFrame(loop, conn, MessageType::kStatsResponse, id, payload.size(),
+                   [&](WireWriter& w) {
+                     w.PutBytes(payload.data(), payload.size());
+                   });
         return;
       }
       case MessageType::kReportActual: {
-        WireError err = WireError::kMalformedFrame;
-        auto report = DecodeReportActualPayload(frame.payload, &err);
-        if (!report.has_value()) {
-          CountBoundaryReject(loop, err);
-          QueueError(loop, conn, id, err, "bad ReportActual");
+        const WireError err = DecodeReportActualInto(frame.payload,
+                                                     &loop.report);
+        if (err != WireError::kNone) {
+          RejectFrame(loop, conn, id, err, "bad ReportActual");
           return;
         }
         loop.counters->Add(NetCounter::feedback_reports);
         // Feedback is advisory: an absent handler or a full buffer is an
         // accepted=false ack, never an error frame.
         const bool accepted = config_.feedback_handler != nullptr &&
-                              config_.feedback_handler(*report);
-        QueueResponse(loop, conn,
-                      EncodeFrame(MessageType::kReportActualAck, id,
-                                  EncodeReportActualAck(accepted)));
+                              config_.feedback_handler(loop.report);
+        QueueFrame(loop, conn, MessageType::kReportActualAck, id,
+                   kReportActualAckPayloadSize,
+                   [&](WireWriter& w) { EncodeReportActualAck(accepted, w); });
         return;
       }
       default:
@@ -545,39 +561,35 @@ void EstimateServer::ServeFrame(Loop& loop, Connection& conn,
   }
 }
 
-void EstimateServer::CountBoundaryReject(Loop& loop, WireError code) {
+void EstimateServer::RejectFrame(Loop& loop, Connection& conn,
+                                 uint32_t request_id, WireError code,
+                                 std::string_view message) {
   loop.counters->Add(code == WireError::kInvalidRequest
                          ? NetCounter::invalid_requests
                          : NetCounter::malformed_frames);
+  QueueError(loop, conn, request_id, code, message);
 }
 
 // ---- Write path -------------------------------------------------------------
 
-void EstimateServer::QueueResponse(Loop& loop, Connection& conn,
-                                   const std::vector<uint8_t>& bytes) {
-  loop.counters->Add(NetCounter::responses_sent);
-  QueueBytes(loop, conn, bytes);
-}
-
-void EstimateServer::QueueError(Loop& loop, Connection& conn,
-                                uint32_t request_id, WireError code,
-                                const std::string& message) {
-  loop.counters->Add(NetCounter::error_frames_sent);
-  QueueBytes(loop, conn, EncodeErrorFrame(request_id, code, message));
-}
-
-void EstimateServer::QueueBytes(Loop& loop, Connection& conn,
-                                const std::vector<uint8_t>& bytes) {
+template <typename Encode>
+void EstimateServer::QueueFrame(Loop& loop, Connection& conn, MessageType type,
+                                uint32_t request_id, size_t payload_size,
+                                const Encode& encode) {
+  loop.counters->Add(type == MessageType::kError
+                         ? NetCounter::error_frames_sent
+                         : NetCounter::responses_sent);
+  const size_t frame_size = kHeaderSize + payload_size;
   // Past the bound, first hand the socket what it will take: a peer that
   // reads keeps its connection however deep it pipelines.
-  if (conn.pending() + bytes.size() > config_.max_write_buffer) {
+  if (conn.pending() + frame_size > config_.max_write_buffer) {
     Flush(loop, conn);
   }
   if (conn.closed) {
     loop.counters->Add(NetCounter::dropped_responses);
     return;
   }
-  if (conn.pending() + bytes.size() > config_.max_write_buffer) {
+  if (conn.pending() + frame_size > config_.max_write_buffer) {
     // A peer that will not read its responses is disconnected, not buffered
     // without bound.
     loop.counters->Add(NetCounter::write_limit_closes);
@@ -589,7 +601,16 @@ void EstimateServer::QueueBytes(Loop& loop, Connection& conn,
     conn.write_pos = 0;
     loop.unflushed.push_back(&conn);
   }
-  conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
+  // Header and payload go straight into the write buffer.
+  AppendFrame(&conn.write_buf, type, request_id, payload_size, encode);
+}
+
+void EstimateServer::QueueError(Loop& loop, Connection& conn,
+                                uint32_t request_id, WireError code,
+                                std::string_view message) {
+  QueueFrame(loop, conn, MessageType::kError, request_id,
+             ErrorBodySize(message),
+             [&](WireWriter& w) { EncodeErrorBody(code, message, w); });
 }
 
 bool EstimateServer::Flush(Loop& loop, Connection& conn) {

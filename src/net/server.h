@@ -57,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/wire_format.h"
@@ -99,7 +100,7 @@ struct EstimateServerConfig {
   ROW(connections_rejected, kCounter) /* over max_connections */              \
   ROW(connections_closed, kCounter)                                           \
   ROW(frames_received, kCounter)                                              \
-  ROW(malformed_frames, kCounter)    /* stream poisoned; connection closed */ \
+  ROW(malformed_frames, kCounter)    /* unframeable, or payload undecodable */\
   ROW(unknown_type_frames, kCounter) /* answered kUnknownType, kept open */   \
   ROW(requests_dispatched, kCounter) /* admitted for pricing */               \
   ROW(requests_completed, kCounter)  /* admitted requests answered */         \
@@ -171,16 +172,21 @@ class EstimateServer {
   // Counts a gathered frame against admission; kNone admits it for
   // pricing, anything else is the error code it will be answered with.
   WireError Admit(Loop& loop, uint8_t type);
-  void Answer(Loop& loop, Connection& conn, const Frame& frame,
+  void Answer(Loop& loop, Connection& conn, const FrameView& frame,
               WireError refusal);
-  void ServeFrame(Loop& loop, Connection& conn, const Frame& frame);
-  void CountBoundaryReject(Loop& loop, WireError code);
-  void QueueResponse(Loop& loop, Connection& conn,
-                     const std::vector<uint8_t>& bytes);
+  void ServeFrame(Loop& loop, Connection& conn, const FrameView& frame);
+  // Counts a request the boundary refused and answers it with `code`.
+  void RejectFrame(Loop& loop, Connection& conn, uint32_t request_id,
+                   WireError code, std::string_view message);
+  // Appends one frame straight into conn's write buffer: the write-limit
+  // checks run on its size first, then `encode` writes the payload, exactly
+  // `payload_size` bytes, after the header.
+  template <typename Encode>
+  void QueueFrame(Loop& loop, Connection& conn, MessageType type,
+                  uint32_t request_id, size_t payload_size,
+                  const Encode& encode);
   void QueueError(Loop& loop, Connection& conn, uint32_t request_id,
-                  WireError code, const std::string& message);
-  void QueueBytes(Loop& loop, Connection& conn,
-                  const std::vector<uint8_t>& bytes);
+                  WireError code, std::string_view message);
   // Writes what the socket takes; false once the connection is closed.
   bool Flush(Loop& loop, Connection& conn);
   void SetInterest(Loop& loop, Connection& conn);

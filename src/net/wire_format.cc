@@ -69,104 +69,50 @@ const char* ToString(WireError e) {
   return "?";
 }
 
-// ---- WireWriter -------------------------------------------------------------
+// ---- WireWriter / WireReader -----------------------------------------------
 
-void WireWriter::PutU16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
+void WireWriter::Grow(size_t n) {
+  buf_->resize(std::max(size_ + n, 2 * buf_->size()));
 }
 
-void WireWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+void WireWriter::PutBytes(const uint8_t* data, size_t n) {
+  if (n == 0) return;
+  std::memcpy(Room(n), data, n);
+  size_ += n;
 }
 
-void WireWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::PutF64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
-void WireWriter::PutString(const std::string& s) {
+void WireWriter::PutString(std::string_view s) {
   const size_t n = std::min<size_t>(s.size(), 0xFFFF);
   PutU16(static_cast<uint16_t>(n));
-  buf_.insert(buf_.end(), s.begin(), s.begin() + static_cast<long>(n));
+  PutBytes(reinterpret_cast<const uint8_t*>(s.data()), n);
 }
 
-// ---- WireReader -------------------------------------------------------------
-
-bool WireReader::Ensure(size_t n) {
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-uint8_t WireReader::TakeU8() {
-  if (!Ensure(1)) return 0;
-  return data_[pos_++];
-}
-
-uint16_t WireReader::TakeU16() {
-  if (!Ensure(2)) return 0;
-  uint16_t v = static_cast<uint16_t>(data_[pos_]) |
-               static_cast<uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-uint32_t WireReader::TakeU32() {
-  if (!Ensure(4)) return 0;
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 4;
-  return v;
-}
-
-uint64_t WireReader::TakeU64() {
-  if (!Ensure(8)) return 0;
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::TakeF64() {
-  const uint64_t bits = TakeU64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+std::string_view WireReader::TakeStringView() {
+  const uint16_t n = TakeU16();
+  if (!Ensure(n)) return {};
+  const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
+  pos_ += n;
+  return s;
 }
 
 std::string WireReader::TakeString(size_t max_bytes) {
-  const uint16_t n = TakeU16();
-  if (!ok_ || n > max_bytes || !Ensure(n)) {
+  const std::string_view s = TakeStringView();
+  if (!ok_ || s.size() > max_bytes) {
     ok_ = false;
     return {};
   }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
+  return std::string(s);
 }
 
 // ---- Frame layer ------------------------------------------------------------
 
 std::vector<uint8_t> EncodeFrame(MessageType type, uint32_t request_id,
                                  const std::vector<uint8_t>& payload) {
-  WireWriter w;
-  w.PutU16(kMagic);
-  w.PutU8(kProtocolVersion);
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutU32(request_id);
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  std::vector<uint8_t> out = w.Take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  std::vector<uint8_t> frame;
+  AppendFrame(&frame, type, request_id, payload.size(), [&](WireWriter& w) {
+    w.PutBytes(payload.data(), payload.size());
+  });
+  return frame;
 }
 
 FrameAssembler::FrameAssembler(uint32_t max_payload)
@@ -174,111 +120,141 @@ FrameAssembler::FrameAssembler(uint32_t max_payload)
 
 bool FrameAssembler::Feed(const uint8_t* data, size_t n) {
   if (broken()) return false;
-  buffer_.insert(buffer_.end(), data, data + n);
-  while (buffer_.size() >= kHeaderSize) {
-    WireReader r(buffer_.data(), kHeaderSize);
-    const uint16_t magic = r.TakeU16();
-    const uint8_t version = r.TakeU8();
-    const uint8_t type = r.TakeU8();
-    const uint32_t request_id = r.TakeU32();
-    const uint32_t payload_len = r.TakeU32();
-    if (magic != kMagic) {
-      error_ = WireError::kMalformedFrame;
-    } else if (version != kProtocolVersion) {
-      error_ = WireError::kUnsupportedVersion;
-    } else if (payload_len > max_payload_) {
-      error_ = WireError::kMalformedFrame;
-    }
-    if (broken()) {
-      buffer_.clear();
-      return false;
-    }
-    if (buffer_.size() < kHeaderSize + payload_len) break;
-    Frame frame;
-    frame.type = type;
-    frame.request_id = request_id;
-    frame.payload.assign(buffer_.begin() + kHeaderSize,
-                         buffer_.begin() + kHeaderSize + payload_len);
-    ready_.push_back(std::move(frame));
+  // Drop the frames already handed out in one move; their views die here.
+  if (next_ > 0) {
+    const size_t consumed = ready_[next_ - 1].offset + ready_[next_ - 1].size;
     buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + kHeaderSize + payload_len);
+                  buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
+    complete_ -= consumed;
+    ready_.erase(ready_.begin(),
+                 ready_.begin() + static_cast<std::ptrdiff_t>(next_));
+    for (Ready& frame : ready_) frame.offset -= consumed;
+    next_ = 0;
+  }
+  // Append in cache-sized steps and scan each step's headers while its bytes
+  // are still in cache: a 64 KiB read costs per frame what a 4 KiB one does.
+  constexpr size_t kStep = 16384;
+  for (size_t done = 0; done < n;) {
+    const size_t take = std::min(kStep, n - done);
+    buffer_.insert(buffer_.end(), data + done, data + done + take);
+    done += take;
+    while (buffer_.size() - complete_ >= kHeaderSize) {
+      WireReader r(buffer_.data() + complete_, kHeaderSize);
+      const uint16_t magic = r.TakeU16();
+      const uint8_t version = r.TakeU8();
+      const uint8_t type = r.TakeU8();
+      const uint32_t request_id = r.TakeU32();
+      const uint32_t payload_len = r.TakeU32();
+      if (magic != kMagic) {
+        error_ = WireError::kMalformedFrame;
+      } else if (version != kProtocolVersion) {
+        error_ = WireError::kUnsupportedVersion;
+      } else if (payload_len > max_payload_) {
+        error_ = WireError::kMalformedFrame;
+      }
+      if (broken()) {
+        buffer_.resize(complete_);  // frames completed before stay readable
+        return false;
+      }
+      if (buffer_.size() - complete_ - kHeaderSize < payload_len) break;
+      ready_.push_back(
+          Ready{complete_ + kHeaderSize, payload_len, request_id, type});
+      complete_ += kHeaderSize + payload_len;
+    }
   }
   return true;
 }
 
+std::optional<FrameView> FrameAssembler::NextView() {
+  if (next_ == ready_.size()) return std::nullopt;
+  const Ready& frame = ready_[next_++];
+  return FrameView{frame.type, frame.request_id,
+                   {buffer_.data() + frame.offset, frame.size}};
+}
+
 std::optional<Frame> FrameAssembler::Next() {
-  if (ready_.empty()) return std::nullopt;
-  Frame frame = std::move(ready_.front());
-  ready_.pop_front();
-  return frame;
+  const std::optional<FrameView> view = NextView();
+  if (!view.has_value()) return std::nullopt;
+  return Frame{view->type, view->request_id,
+               std::vector<uint8_t>(view->payload.begin(),
+                                    view->payload.end())};
 }
 
 // ---- Estimate request/response ----------------------------------------------
 
-void EncodeEstimateRequest(const runtime::EstimateRequest& request,
-                           WireWriter& w) {
+namespace {
+
+size_t EncodedFeatures(size_t n) { return std::min(n, kMaxFeatures); }
+
+size_t EstimateRequestSize(const runtime::EstimateRequest& request) {
+  return 2 + std::min<size_t>(request.site.size(), 0xFFFF) + 1 + 8 + 2 +
+         8 * EncodedFeatures(request.features.size());
+}
+
+// A request item: site, class, probing cost, then its features.
+void PutEstimateRequest(const runtime::EstimateRequest& request,
+                        WireWriter& w) {
   w.PutString(request.site);
   w.PutU8(static_cast<uint8_t>(request.class_id));
   w.PutF64(request.probing_cost);
-  w.PutU16(static_cast<uint16_t>(
-      std::min<size_t>(request.features.size(), kMaxFeatures)));
-  for (size_t i = 0; i < request.features.size() && i < kMaxFeatures; ++i) {
-    w.PutF64(request.features[i]);
-  }
+  const size_t n = EncodedFeatures(request.features.size());
+  w.PutU16(static_cast<uint16_t>(n));
+  w.PutF64s(request.features.data(), n);
 }
 
-std::optional<runtime::EstimateRequest> DecodeEstimateRequest(
-    WireReader& r, WireError* error) {
-  runtime::EstimateRequest request;
-  request.site = r.TakeString(kMaxSiteNameBytes);
+// Read a site name and a feature vector into caller storage, in place. A
+// name longer than kMaxSiteNameBytes is kInvalidRequest once its bytes are
+// known to be present; a feature count over kMaxFeatures is as soon as it
+// is read.
+WireError TakeSite(WireReader& r, std::string* site) {
+  const std::string_view name = r.TakeStringView();
+  if (!r.ok()) return WireError::kMalformedFrame;
+  if (name.size() > kMaxSiteNameBytes) return WireError::kInvalidRequest;
+  // Reused storage usually holds this very name already.
+  if (*site != name) site->assign(name);
+  return WireError::kNone;
+}
+
+WireError TakeFeatures(WireReader& r, std::vector<double>* features) {
+  const uint16_t n = r.TakeU16();
+  if (!r.ok()) return WireError::kMalformedFrame;
+  if (n > kMaxFeatures) return WireError::kInvalidRequest;
+  features->resize(n);
+  r.TakeF64s(features->data(), n);
+  return r.ok() ? WireError::kNone : WireError::kMalformedFrame;
+}
+
+bool AllFinite(const std::vector<double>& values) {
+  bool finite = true;  // no early exit: the loop vectorizes
+  for (const double v : values) finite &= std::isfinite(v);
+  return finite;
+}
+
+// A NaN probing cost is rejected; any negative finite value is the "use the
+// cached probe" sentinel.
+bool ProbingCostIsValid(double probing_cost) {
+  return !std::isnan(probing_cost) &&
+         probing_cost != std::numeric_limits<double>::infinity();
+}
+
+// One request item, decoded in place. The semantic checks run after the
+// item's bytes: nothing non-finite or out of the enum range may pass this
+// point toward the service.
+WireError DecodeEstimateRequest(WireReader& r,
+                                runtime::EstimateRequest* request) {
+  WireError error = TakeSite(r, &request->site);
+  if (error != WireError::kNone) return error;
   const uint8_t class_byte = r.TakeU8();
-  request.probing_cost = r.TakeF64();
-  const uint16_t n_features = r.TakeU16();
-  if (r.ok() && n_features > kMaxFeatures) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
+  request->probing_cost = r.TakeF64();
+  error = TakeFeatures(r, &request->features);
+  if (error != WireError::kNone) return error;
+  if (class_byte > kMaxClassByte ||
+      !ProbingCostIsValid(request->probing_cost) ||
+      !AllFinite(request->features)) {
+    return WireError::kInvalidRequest;
   }
-  request.features.reserve(n_features);
-  for (uint16_t i = 0; i < n_features && r.ok(); ++i) {
-    request.features.push_back(r.TakeF64());
-  }
-  if (!r.ok()) {
-    Fail(error, WireError::kMalformedFrame);
-    return std::nullopt;
-  }
-  // Semantic boundary checks: nothing non-finite or out of the enum range
-  // may pass this point toward the service. A NaN probing cost is rejected;
-  // any negative finite value is the "use the cached probe" sentinel.
-  if (class_byte > kMaxClassByte) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
-  if (std::isnan(request.probing_cost) ||
-      request.probing_cost == std::numeric_limits<double>::infinity()) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
-  for (const double f : request.features) {
-    if (!std::isfinite(f)) {
-      Fail(error, WireError::kInvalidRequest);
-      return std::nullopt;
-    }
-  }
-  request.class_id = static_cast<core::QueryClassId>(class_byte);
-  return request;
-}
-
-void EncodeEstimateResponse(const runtime::EstimateResponse& response,
-                            WireWriter& w) {
-  w.PutU8(static_cast<uint8_t>(response.status));
-  w.PutF64(response.estimate_seconds);
-  w.PutF64(response.probing_cost);
-  w.PutU32(static_cast<uint32_t>(response.state));
-  uint8_t flags = 0;
-  if (response.stale_probe) flags |= kFlagStaleProbe;
-  if (response.stale_model) flags |= kFlagStaleModel;
-  if (response.degraded) flags |= kFlagDegraded;
-  w.PutU8(flags);
+  request->class_id = static_cast<core::QueryClassId>(class_byte);
+  return WireError::kNone;
 }
 
 std::optional<runtime::EstimateResponse> DecodeEstimateResponse(WireReader& r) {
@@ -296,24 +272,69 @@ std::optional<runtime::EstimateResponse> DecodeEstimateResponse(WireReader& r) {
   return response;
 }
 
-std::optional<runtime::EstimateRequest> DecodeEstimateRequestPayload(
-    const std::vector<uint8_t>& payload, WireError* error) {
-  WireReader r(payload);
-  auto request = DecodeEstimateRequest(r, error);
-  if (request.has_value() && !r.AtEnd()) {
-    Fail(error, WireError::kMalformedFrame);
+// Runs an in-place decoder over a fresh value for the optional-returning
+// forms.
+template <typename T, typename Decode>
+std::optional<T> DecodeFresh(const std::vector<uint8_t>& payload,
+                             WireError* error, Decode decode) {
+  T value{};
+  const WireError code = decode(std::span<const uint8_t>(payload), &value);
+  if (code != WireError::kNone) {
+    Fail(error, code);
     return std::nullopt;
   }
-  return request;
+  return value;
+}
+
+}  // namespace
+
+void EncodeEstimateRequest(const runtime::EstimateRequest& request,
+                           WireWriter& w) {
+  w.Reserve(EstimateRequestSize(request));
+  PutEstimateRequest(request, w);
+}
+
+void EncodeEstimateResponse(const runtime::EstimateResponse& response,
+                            WireWriter& w) {
+  w.Reserve(kEstimateResponseSize);
+  w.PutU8(static_cast<uint8_t>(response.status));
+  w.PutF64(response.estimate_seconds);
+  w.PutF64(response.probing_cost);
+  w.PutU32(static_cast<uint32_t>(response.state));
+  uint8_t flags = 0;
+  if (response.stale_probe) flags |= kFlagStaleProbe;
+  if (response.stale_model) flags |= kFlagStaleModel;
+  if (response.degraded) flags |= kFlagDegraded;
+  w.PutU8(flags);
+}
+
+void EncodeEstimateResponsePayload(const runtime::EstimateResponse& response,
+                                   WireWriter& w) {
+  w.Reserve(kEstimateResponsePayloadSize);
+  EncodeEstimateResponse(response, w);
+  // Append-only extension: the serving model's generation.
+  w.PutU64(response.model_generation);
 }
 
 std::vector<uint8_t> EncodeEstimateResponsePayload(
     const runtime::EstimateResponse& response) {
   WireWriter w;
-  EncodeEstimateResponse(response, w);
-  // Append-only extension: the serving model's generation.
-  w.PutU64(response.model_generation);
+  EncodeEstimateResponsePayload(response, w);
   return w.Take();
+}
+
+WireError DecodeEstimateRequestInto(std::span<const uint8_t> payload,
+                                    runtime::EstimateRequest* request) {
+  WireReader r(payload);
+  const WireError error = DecodeEstimateRequest(r, request);
+  if (error != WireError::kNone) return error;
+  return r.AtEnd() ? WireError::kNone : WireError::kMalformedFrame;
+}
+
+std::optional<runtime::EstimateRequest> DecodeEstimateRequestPayload(
+    const std::vector<uint8_t>& payload, WireError* error) {
+  return DecodeFresh<runtime::EstimateRequest>(payload, error,
+                                               DecodeEstimateRequestInto);
 }
 
 std::optional<runtime::EstimateResponse> DecodeEstimateResponsePayload(
@@ -332,47 +353,65 @@ std::optional<runtime::EstimateResponse> DecodeEstimateResponsePayload(
 
 // ---- Batch ------------------------------------------------------------------
 
+size_t EstimateBatchResponsePayloadSize(size_t count) {
+  return 4 + count * kEstimateResponsePayloadSize;
+}
+
 std::vector<uint8_t> EncodeEstimateBatchRequest(
     const std::vector<runtime::EstimateRequest>& requests) {
+  size_t size = 4;
+  for (const auto& request : requests) size += EstimateRequestSize(request);
   WireWriter w;
+  w.Reserve(size);
   w.PutU32(static_cast<uint32_t>(requests.size()));
-  for (const auto& request : requests) EncodeEstimateRequest(request, w);
+  for (const auto& request : requests) PutEstimateRequest(request, w);
   return w.Take();
 }
 
-std::vector<uint8_t> EncodeEstimateBatchResponse(
-    const std::vector<runtime::EstimateResponse>& responses) {
-  WireWriter w;
+void EncodeEstimateBatchResponse(
+    std::span<const runtime::EstimateResponse> responses, WireWriter& w) {
+  w.Reserve(EstimateBatchResponsePayloadSize(responses.size()));
   w.PutU32(static_cast<uint32_t>(responses.size()));
   for (const auto& response : responses) EncodeEstimateResponse(response, w);
   // Append-only extension: one generation per item, after the item list so
   // pre-extension decoders never see it.
   for (const auto& response : responses) w.PutU64(response.model_generation);
+}
+
+std::vector<uint8_t> EncodeEstimateBatchResponse(
+    const std::vector<runtime::EstimateResponse>& responses) {
+  WireWriter w;
+  EncodeEstimateBatchResponse(responses, w);
   return w.Take();
+}
+
+WireError DecodeEstimateBatchRequestInto(
+    std::span<const uint8_t> payload,
+    std::vector<runtime::EstimateRequest>* items, size_t* count) {
+  *count = 0;
+  WireReader r(payload);
+  const uint32_t n = r.TakeU32();
+  if (!r.ok()) return WireError::kMalformedFrame;
+  if (n == 0 || n > kMaxBatchItems) return WireError::kInvalidRequest;
+  if (items->size() < n) items->resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const WireError error = DecodeEstimateRequest(r, &(*items)[i]);
+    if (error != WireError::kNone) return error;
+  }
+  if (!r.AtEnd()) return WireError::kMalformedFrame;
+  *count = n;
+  return WireError::kNone;
 }
 
 std::optional<std::vector<runtime::EstimateRequest>>
 DecodeEstimateBatchRequestPayload(const std::vector<uint8_t>& payload,
                                   WireError* error) {
-  WireReader r(payload);
-  const uint32_t count = r.TakeU32();
-  if (!r.ok()) {
-    Fail(error, WireError::kMalformedFrame);
-    return std::nullopt;
-  }
-  if (count == 0 || count > kMaxBatchItems) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
   std::vector<runtime::EstimateRequest> requests;
-  requests.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    auto request = DecodeEstimateRequest(r, error);
-    if (!request.has_value()) return std::nullopt;
-    requests.push_back(std::move(*request));
-  }
-  if (!r.AtEnd()) {
-    Fail(error, WireError::kMalformedFrame);
+  size_t count = 0;
+  const WireError code =
+      DecodeEstimateBatchRequestInto(payload, &requests, &count);
+  if (code != WireError::kNone) {
+    Fail(error, code);
     return std::nullopt;
   }
   return requests;
@@ -407,10 +446,15 @@ DecodeEstimateBatchResponsePayload(const std::vector<uint8_t>& payload) {
 std::vector<uint8_t> EncodePlacementRequest(
     const std::vector<runtime::PlacementCandidate>& candidates,
     const runtime::PlacementOptions& options) {
+  size_t size = 4 + 1 + 8 + 8;
+  for (const auto& candidate : candidates) {
+    size += EstimateRequestSize(candidate.request) + 8;
+  }
   WireWriter w;
+  w.Reserve(size);
   w.PutU32(static_cast<uint32_t>(candidates.size()));
   for (const auto& candidate : candidates) {
-    EncodeEstimateRequest(candidate.request, w);
+    PutEstimateRequest(candidate.request, w);
     w.PutF64(candidate.shipping_seconds);
   }
   // Append-only extension: ranking policy + knobs. Decoders that stop at
@@ -422,9 +466,17 @@ std::vector<uint8_t> EncodePlacementRequest(
   return w.Take();
 }
 
-std::vector<uint8_t> EncodePlacementResponse(
-    const runtime::PlacementResult& result) {
-  WireWriter w;
+size_t PlacementResponsePayloadSize(const runtime::PlacementResult& result) {
+  const size_t n = result.responses.size();
+  // chosen, count, items (response + total), policy, per-candidate
+  // distribution + flags + score, generations.
+  return 4 + 4 + n * (kEstimateResponseSize + 8) + 1 + n * (3 * 8 + 1 + 8) +
+         n * 8;
+}
+
+void EncodePlacementResponse(const runtime::PlacementResult& result,
+                             WireWriter& w) {
+  w.Reserve(PlacementResponsePayloadSize(result));
   w.PutU32(static_cast<uint32_t>(result.chosen));
   w.PutU32(static_cast<uint32_t>(result.responses.size()));
   for (size_t i = 0; i < result.responses.size(); ++i) {
@@ -454,70 +506,68 @@ std::vector<uint8_t> EncodePlacementResponse(
   for (const auto& response : result.responses) {
     w.PutU64(response.model_generation);
   }
+}
+
+std::vector<uint8_t> EncodePlacementResponse(
+    const runtime::PlacementResult& result) {
+  WireWriter w;
+  EncodePlacementResponse(result, w);
   return w.Take();
+}
+
+WireError DecodePlacementRequestInto(
+    std::span<const uint8_t> payload,
+    std::vector<runtime::PlacementCandidate>* candidates,
+    runtime::PlacementOptions* options) {
+  WireReader r(payload);
+  const uint32_t count = r.TakeU32();
+  if (!r.ok()) return WireError::kMalformedFrame;
+  if (count == 0 || count > kMaxBatchItems) return WireError::kInvalidRequest;
+  candidates->resize(count);
+  for (runtime::PlacementCandidate& candidate : *candidates) {
+    const WireError error = DecodeEstimateRequest(r, &candidate.request);
+    if (error != WireError::kNone) return error;
+    candidate.shipping_seconds = r.TakeF64();
+    if (!r.ok()) return WireError::kMalformedFrame;
+    if (!std::isfinite(candidate.shipping_seconds) ||
+        candidate.shipping_seconds < 0.0) {
+      return WireError::kInvalidRequest;
+    }
+  }
+  // Frames from pre-extension peers end here: default ranking (point
+  // estimate). A frame carrying any extension bytes must carry the whole,
+  // valid extension — fail closed on anything else.
+  *options = runtime::PlacementOptions{};
+  if (r.remaining() > 0) {
+    const uint8_t policy_byte = r.TakeU8();
+    const double risk_lambda = r.TakeF64();
+    const double band_fraction = r.TakeF64();
+    if (!r.ok()) return WireError::kMalformedFrame;
+    if (policy_byte > kMaxPolicyByte || !std::isfinite(risk_lambda) ||
+        risk_lambda < 0.0 || !std::isfinite(band_fraction) ||
+        band_fraction < 0.0 || band_fraction > 1.0) {
+      return WireError::kInvalidRequest;
+    }
+    options->ranking.policy = static_cast<core::PlacementPolicy>(policy_byte);
+    options->ranking.risk_lambda = risk_lambda;
+    options->ranking.boundary_band_fraction = band_fraction;
+  }
+  return r.AtEnd() ? WireError::kNone : WireError::kMalformedFrame;
 }
 
 std::optional<std::vector<runtime::PlacementCandidate>>
 DecodePlacementRequestPayload(const std::vector<uint8_t>& payload,
                               WireError* error,
                               runtime::PlacementOptions* options) {
-  WireReader r(payload);
-  const uint32_t count = r.TakeU32();
-  if (!r.ok()) {
-    Fail(error, WireError::kMalformedFrame);
-    return std::nullopt;
-  }
-  if (count == 0 || count > kMaxBatchItems) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
   std::vector<runtime::PlacementCandidate> candidates;
-  candidates.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    runtime::PlacementCandidate candidate;
-    auto request = DecodeEstimateRequest(r, error);
-    if (!request.has_value()) return std::nullopt;
-    candidate.request = std::move(*request);
-    candidate.shipping_seconds = r.TakeF64();
-    if (!r.ok()) {
-      Fail(error, WireError::kMalformedFrame);
-      return std::nullopt;
-    }
-    if (!std::isfinite(candidate.shipping_seconds) ||
-        candidate.shipping_seconds < 0.0) {
-      Fail(error, WireError::kInvalidRequest);
-      return std::nullopt;
-    }
-    candidates.push_back(std::move(candidate));
-  }
-  // Frames from pre-extension peers end here: default ranking (point
-  // estimate). A frame carrying any extension bytes must carry the whole,
-  // valid extension — fail closed on anything else.
-  runtime::PlacementOptions decoded_options;
-  if (r.remaining() > 0) {
-    const uint8_t policy_byte = r.TakeU8();
-    const double risk_lambda = r.TakeF64();
-    const double band_fraction = r.TakeF64();
-    if (!r.ok()) {
-      Fail(error, WireError::kMalformedFrame);
-      return std::nullopt;
-    }
-    if (policy_byte > kMaxPolicyByte || !std::isfinite(risk_lambda) ||
-        risk_lambda < 0.0 || !std::isfinite(band_fraction) ||
-        band_fraction < 0.0 || band_fraction > 1.0) {
-      Fail(error, WireError::kInvalidRequest);
-      return std::nullopt;
-    }
-    decoded_options.ranking.policy =
-        static_cast<core::PlacementPolicy>(policy_byte);
-    decoded_options.ranking.risk_lambda = risk_lambda;
-    decoded_options.ranking.boundary_band_fraction = band_fraction;
-  }
-  if (!r.AtEnd()) {
-    Fail(error, WireError::kMalformedFrame);
+  runtime::PlacementOptions decoded;
+  const WireError code =
+      DecodePlacementRequestInto(payload, &candidates, &decoded);
+  if (code != WireError::kNone) {
+    Fail(error, code);
     return std::nullopt;
   }
-  if (options != nullptr) *options = decoded_options;
+  if (options != nullptr) *options = decoded;
   return candidates;
 }
 
@@ -585,65 +635,59 @@ std::optional<runtime::PlacementResult> DecodePlacementResponsePayload(
 // ---- Feedback ---------------------------------------------------------------
 
 std::vector<uint8_t> EncodeReportActual(const runtime::FeedbackReport& report) {
+  const size_t n = EncodedFeatures(report.features.size());
   WireWriter w;
+  w.Reserve(2 + std::min<size_t>(report.site.size(), 0xFFFF) + 1 + 8 + 8 + 8 +
+            2 + 8 * n);
   w.PutString(report.site);
   w.PutU8(static_cast<uint8_t>(report.class_id));
   w.PutF64(report.actual_cost);
   w.PutF64(report.probing_cost);
   w.PutU64(report.model_generation);
-  w.PutU16(static_cast<uint16_t>(
-      std::min<size_t>(report.features.size(), kMaxFeatures)));
-  for (size_t i = 0; i < report.features.size() && i < kMaxFeatures; ++i) {
-    w.PutF64(report.features[i]);
-  }
+  w.PutU16(static_cast<uint16_t>(n));
+  w.PutF64s(report.features.data(), n);
   return w.Take();
+}
+
+WireError DecodeReportActualInto(std::span<const uint8_t> payload,
+                                 runtime::FeedbackReport* report) {
+  WireReader r(payload);
+  WireError error = TakeSite(r, &report->site);
+  if (error != WireError::kNone) return error;
+  const uint8_t class_byte = r.TakeU8();
+  report->actual_cost = r.TakeF64();
+  report->probing_cost = r.TakeF64();
+  report->model_generation = r.TakeU64();
+  error = TakeFeatures(r, &report->features);
+  if (error != WireError::kNone) return error;
+  if (!r.AtEnd()) return WireError::kMalformedFrame;
+  // Semantic boundary: feedback must be a priceable observation. A
+  // non-positive cost, anything non-finite, or a class outside the enum is
+  // refused before it can reach the adaptation path.
+  if (class_byte > kMaxClassByte || report->site.empty() ||
+      !std::isfinite(report->actual_cost) || report->actual_cost <= 0.0 ||
+      !ProbingCostIsValid(report->probing_cost) ||
+      !AllFinite(report->features)) {
+    return WireError::kInvalidRequest;
+  }
+  report->class_id = static_cast<core::QueryClassId>(class_byte);
+  return WireError::kNone;
 }
 
 std::optional<runtime::FeedbackReport> DecodeReportActualPayload(
     const std::vector<uint8_t>& payload, WireError* error) {
-  WireReader r(payload);
-  runtime::FeedbackReport report;
-  report.site = r.TakeString(kMaxSiteNameBytes);
-  const uint8_t class_byte = r.TakeU8();
-  report.actual_cost = r.TakeF64();
-  report.probing_cost = r.TakeF64();
-  report.model_generation = r.TakeU64();
-  const uint16_t n_features = r.TakeU16();
-  if (r.ok() && n_features > kMaxFeatures) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
-  report.features.reserve(n_features);
-  for (uint16_t i = 0; i < n_features && r.ok(); ++i) {
-    report.features.push_back(r.TakeF64());
-  }
-  if (!r.AtEnd()) {
-    Fail(error, WireError::kMalformedFrame);
-    return std::nullopt;
-  }
-  // Semantic boundary: feedback must be a priceable observation. A
-  // non-positive cost, anything non-finite, or a class outside the enum is
-  // refused before it can reach the adaptation path.
-  if (class_byte > kMaxClassByte || report.site.empty() ||
-      !std::isfinite(report.actual_cost) || report.actual_cost <= 0.0 ||
-      std::isnan(report.probing_cost) ||
-      report.probing_cost == std::numeric_limits<double>::infinity()) {
-    Fail(error, WireError::kInvalidRequest);
-    return std::nullopt;
-  }
-  for (const double f : report.features) {
-    if (!std::isfinite(f)) {
-      Fail(error, WireError::kInvalidRequest);
-      return std::nullopt;
-    }
-  }
-  report.class_id = static_cast<core::QueryClassId>(class_byte);
-  return report;
+  return DecodeFresh<runtime::FeedbackReport>(payload, error,
+                                              DecodeReportActualInto);
+}
+
+void EncodeReportActualAck(bool accepted, WireWriter& w) {
+  w.Reserve(kReportActualAckPayloadSize);
+  w.PutU8(accepted ? 1 : 0);
 }
 
 std::vector<uint8_t> EncodeReportActualAck(bool accepted) {
   WireWriter w;
-  w.PutU8(accepted ? 1 : 0);
+  EncodeReportActualAck(accepted, w);
   return w.Take();
 }
 
@@ -657,14 +701,19 @@ std::optional<bool> DecodeReportActualAckPayload(
 
 // ---- Errors -----------------------------------------------------------------
 
+size_t ErrorBodySize(std::string_view message) {
+  return 1 + 2 + std::min(message.size(), kMaxErrorMessageBytes);
+}
+
+void EncodeErrorBody(WireError code, std::string_view message, WireWriter& w) {
+  w.Reserve(ErrorBodySize(message));
+  w.PutU8(static_cast<uint8_t>(code));
+  w.PutString(message.substr(0, kMaxErrorMessageBytes));
+}
+
 std::vector<uint8_t> EncodeErrorBody(const ErrorBody& body) {
   WireWriter w;
-  w.PutU8(static_cast<uint8_t>(body.code));
-  std::string message = body.message;
-  if (message.size() > kMaxErrorMessageBytes) {
-    message.resize(kMaxErrorMessageBytes);
-  }
-  w.PutString(message);
+  EncodeErrorBody(body.code, body.message, w);
   return w.Take();
 }
 

@@ -22,16 +22,27 @@
 // value of its site's cell at insert time, and InvalidateSite/InvalidateAll
 // bump cells (never touching another thread's shard). An entry whose cell,
 // catalog epoch, or tracker validity probe mismatches is retired by its
-// owning thread on the next lookup that meets it. Entries hold a shared_ptr
-// to their tracker, so validation atomics stay dereferenceable even after
-// RegisterSite replaces the site's tracker (the service stops a replaced
-// tracker's prober eagerly; the pinned carcass is cheap).
+// owning thread on the next lookup that meets it.
+//
+// An insert allocates nothing and performs no shared atomic RMW once its
+// shard has met the site and the tracker. Entries store their quantized
+// features inline, up to kMaxKeyFeatures; a wider vector is priced but never
+// cached. Entries point at a shard-private record per site (its name, its
+// version cell and its per-state cells), so an insert copies no string and
+// searches no shared map. And entries keep their tracker alive through a
+// shard-private pin: the shard takes one reference per tracker, counts the
+// entries that use it with a plain integer, and drops the reference when the
+// last of them is retired or clobbered. Validation atomics therefore stay
+// dereferenceable after RegisterSite replaces the site's tracker (the
+// service stops a replaced tracker's prober eagerly), and a replaced or
+// retired tracker lives no longer than its last entry.
 
 #ifndef MSCM_RUNTIME_ESTIMATE_CACHE_H_
 #define MSCM_RUNTIME_ESTIMATE_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/explanatory.h"
 #include "runtime/contention_tracker.h"
 #include "runtime/estimate_types.h"
 #include "runtime/thread_registry.h"
@@ -72,11 +84,18 @@ class EstimateCache {
 
   bool enabled() const { return slots_per_thread_ > 0; }
 
+  // The widest feature vector an entry keys on: the paper's widest
+  // explanatory-variable set (the join class, Table 3). Longer vectors are
+  // neither looked up nor inserted.
+  static constexpr size_t kMaxKeyFeatures = core::VariableSet::kMaxSize;
+
   // Everything Insert needs beyond the key and the response to make the
   // entry self-validating on later lookups.
   struct InsertContext {
-    // Keeps the tracker's validation atomics alive for the entry's lifetime.
-    std::shared_ptr<ContentionTracker> tracker;
+    // The site's tracker, as the caller holds it for the call (the pricing
+    // pass's epoch guard pins the tracker map it points into). The shard
+    // pins the tracker itself the first time it meets it.
+    const std::shared_ptr<ContentionTracker>* tracker = nullptr;
     // Tracker state version loaded *before* the reading that produced the
     // response was taken — if anything moved in between, the entry is born
     // invalid rather than wrongly valid.
@@ -91,12 +110,14 @@ class EstimateCache {
   // Fills `response` and returns true when a currently valid entry matches.
   // Invalid entries encountered are retired in passing. Touches only the
   // calling thread's shard: zero locks, zero shared atomic RMWs.
+  // A feature vector longer than kMaxKeyFeatures always misses.
   bool Lookup(const std::string& site, int class_id,
               const std::vector<double>& features, uint64_t epoch,
               EstimateResponse* response);
 
-  // Stores a response in the calling thread's shard; overwrites the oldest
-  // colliding slot when full.
+  // Stores a response in the calling thread's shard: in the key's own slot
+  // or a free one in its probe window, else over the key's home slot. A
+  // feature vector longer than kMaxKeyFeatures is not stored.
   void Insert(const std::string& site, int class_id,
               const std::vector<double>& features, uint64_t epoch,
               const InsertContext& context, const EstimateResponse& response);
@@ -123,46 +144,84 @@ class EstimateCache {
  private:
   using VersionCell = std::atomic<uint64_t>;
 
+  // A shard's one reference to a tracker, shared by every entry of the
+  // shard priced from it. `entries` counts them; at zero the reference
+  // drops, and the empty pin is free for the next tracker.
+  struct Pin {
+    std::shared_ptr<ContentionTracker> tracker;
+    size_t entries = 0;
+  };
+
+  // A shard's record of one site: its name, its invalidation cell, its
+  // per-state cells (indexed by state, null until first needed) and the pin
+  // of the tracker it last inserted under. Records are never freed before
+  // the cache; a pin may have been recycled since, so `pin` is only a hint,
+  // checked against the tracker.
+  struct SiteRecord {
+    std::string site;
+    const VersionCell* cell = nullptr;
+    std::vector<const VersionCell*> state_cells;
+    Pin* pin = nullptr;
+  };
+
   struct Slot {
-    bool occupied = false;
+    uint8_t num_features = 0;
     int class_id = 0;
-    uint64_t hash = 0;
     uint64_t epoch = 0;
     uint64_t state_version = 0;
     double state_lo = 0.0;
     double state_hi = 0.0;
-    // The site's invalidation cell and its value when this entry was
-    // inserted; a bumped cell invalidates the entry lazily.
-    const VersionCell* site_cell = nullptr;
+    // The entry's site: its name and invalidation cell. The cell's value at
+    // insert time is kept; a bumped cell invalidates the entry lazily.
+    const SiteRecord* record = nullptr;
     uint64_t site_version = 0;
     // Finer-grained twin keyed by (site, response state): bumped by
     // InvalidateSiteState when an adaptation swap changes that state's row.
     const VersionCell* state_cell = nullptr;
     uint64_t state_cell_version = 0;
-    std::string site;
-    std::vector<uint64_t> feature_bits;
-    std::shared_ptr<ContentionTracker> tracker;
+    uint64_t feature_bits[kMaxKeyFeatures] = {};
     EstimateResponse response;
   };
 
-  // One thread's private table plus its memo of site → version cell (the
-  // memo avoids the cells_mutex_ on repeat inserts for the same site).
+  // What a slot search reads: the entry's key hash (0 = free slot) and its
+  // tracker pin.
+  struct Tag {
+    uint64_t hash = 0;
+    Pin* pin = nullptr;
+  };
+
+  // One thread's private table, site records and tracker pins. The tags sit
+  // apart from the slots, densely, so a lookup that misses reads one cache
+  // line, and an insert only writes its slot.
   struct ThreadShard {
+    std::vector<Tag> tags;  // tags[i] describes slots[i]
     std::vector<Slot> slots;
-    std::unordered_map<std::string, const VersionCell*> cell_memo;
-    std::map<std::pair<std::string, int>, const VersionCell*> state_cell_memo;
+    std::unordered_map<std::string, std::unique_ptr<SiteRecord>> records;
+    SiteRecord* last_record = nullptr;  // inserts come in runs per site
+    std::deque<Pin> pins;               // stable addresses
   };
 
   // The calling thread's shard, lazily created (nullptr when `create` is
   // false and none exists yet, or the thread has no registry slot).
   ThreadShard* LocalShard(bool create);
 
-  // The site's version cell (stable address), creating it if needed.
-  const VersionCell* CellFor(const std::string& site, ThreadShard& shard);
+  // The shard's record for `site`, created (with its version cell) on first
+  // use.
+  SiteRecord& RecordFor(const std::string& site, ThreadShard& shard);
 
   // The (site, state) version cell (stable address), creating it if needed.
-  const VersionCell* StateCellFor(const std::string& site, int state,
-                                  ThreadShard& shard);
+  const VersionCell* StateCellFor(SiteRecord& record, int state);
+
+  // The shard's pin on `tracker`, taken on first use.
+  Pin* PinFor(const std::shared_ptr<ContentionTracker>& tracker,
+              SiteRecord& record, ThreadShard& shard);
+
+  // Ends the entry in slot `index`. Returns the tracker reference its pin
+  // dropped, if this was the pin's last entry: the caller releases it after
+  // the shard is consistent again (a tracker's destructor joins its prober,
+  // whose callback may call InvalidateSite).
+  static std::shared_ptr<ContentionTracker> Vacate(size_t index,
+                                                   ThreadShard& shard);
 
   size_t slots_per_thread_ = 0;
   uint64_t slot_mask_ = 0;

@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "mdbs/agent.h"
-#include "runtime/rmw_probe.h"
 
 namespace mscm::runtime {
 
@@ -699,17 +699,15 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
         probe->reading.degraded) {
       continue;
     }
+    // The tracker pointer stays valid for the call: it points into the map
+    // the caller's EpochGuard pins.
     EstimateCache::InsertContext context;
+    context.tracker = probe->tracker;
+    context.state_version = probe->state_version_before;
+    equations.StateInterval(group.state, &context.state_lo, &context.state_hi);
     for (uint32_t r = 0, m = group.head; r < group.size; ++r, m = next[m]) {
       const EstimateRequest& request = requests[m];
       if (request.probing_cost >= 0.0) continue;
-      if (context.tracker == nullptr) {
-        RmwProbe::Count();  // tracker pin moving into the insert context
-        context.tracker = *probe->tracker;
-        context.state_version = probe->state_version_before;
-        equations.StateInterval(group.state, &context.state_lo,
-                                &context.state_hi);
-      }
       cache_.Insert(request.site, static_cast<int>(request.class_id),
                     request.features, revision, context, responses[m]);
     }
@@ -778,10 +776,20 @@ EstimateResponse EstimationService::Estimate(
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) const {
   std::vector<EstimateResponse> responses(requests.size());
+  EstimateBatch(requests, responses);
+  return responses;
+}
+
+void EstimationService::EstimateBatch(
+    std::span<const EstimateRequest> requests,
+    std::span<EstimateResponse> responses) const {
+  MSCM_CHECK(requests.size() == responses.size());
+  // The pass fills only the fields an answer sets; the rest start at their
+  // defaults, whatever the storage held before.
+  std::fill(responses.begin(), responses.end(), EstimateResponse{});
   EpochGuard guard;
   Price(guard, requests.data(), requests.size(), responses.data(), nullptr,
         /*batch=*/true);
-  return responses;
 }
 
 PlacementResult EstimationService::ChoosePlacement(

@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,6 +225,11 @@ class EstimationService {
   // pool (when configured). responses[i] answers requests[i].
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests) const;
+  // As above, into caller storage of the same size: responses[i] answers
+  // requests[i]. A warm thread prices without a heap allocation (the
+  // serving loop reuses its storage frame to frame).
+  void EstimateBatch(std::span<const EstimateRequest> requests,
+                     std::span<EstimateResponse> responses) const;
 
   // Prices all candidate placements of a component query in one batch and
   // ranks them under `options`: by default the cheapest total (local

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/explanatory.h"
 #include "runtime/clock.h"
 #include "runtime/estimation_service.h"
 #include "tests/test_util.h"
@@ -289,7 +291,7 @@ class EstimateCacheUnitTest : public ::testing::Test {
 
   EstimateCache::InsertContext Context(double lo, double hi) {
     EstimateCache::InsertContext context;
-    context.tracker = tracker_;
+    context.tracker = &tracker_;
     context.state_version = tracker_->state_version();
     context.state_lo = lo;
     context.state_hi = hi;
@@ -396,6 +398,110 @@ TEST_F(EstimateCacheUnitTest, FeatureQuantizationSharesNearbyKeys) {
   EstimateResponse response;
   EXPECT_TRUE(cache.Lookup("a", 0, {1.002}, 7, &response));  // same grid cell
   EXPECT_FALSE(cache.Lookup("a", 0, {1.02}, 7, &response));  // different cell
+}
+
+TEST(EstimateCacheWidthTest, EveryClassFitsTheInlineKey) {
+  for (const QueryClassId cls :
+       {QueryClassId::kUnarySeqScan, QueryClassId::kUnaryNonClusteredIndex,
+        QueryClassId::kUnaryClusteredIndex, QueryClassId::kJoinNoIndex,
+        QueryClassId::kJoinIndex}) {
+    const size_t width = core::VariableSet::ForClass(cls).size();
+    EXPECT_EQ(width, core::IsJoinClass(cls) ? core::VariableSet::kJoinSize
+                                            : core::VariableSet::kUnarySize)
+        << core::ToString(cls);
+    EXPECT_LE(width, EstimateCache::kMaxKeyFeatures) << core::ToString(cls);
+  }
+  // The join class is the widest and fills the key exactly.
+  EXPECT_EQ(core::VariableSet::ForClass(QueryClassId::kJoinIndex).size(),
+            EstimateCache::kMaxKeyFeatures);
+}
+
+TEST(EstimateCacheServiceTest, WiderThanTheKeyIsPricedExactlyButNeverCached) {
+  const auto cls = QueryClassId::kJoinNoIndex;
+  EstimationService cached(CachedConfig());
+  EstimationService uncached;
+  for (EstimationService* service : {&cached, &uncached}) {
+    service->RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+    service->RegisterSite("a", [] { return 0.5; });
+    ASSERT_TRUE(service->ProbeNow("a"));
+  }
+
+  // One past the inline width: priced, bit for bit the uncached answer, and
+  // a miss every time.
+  EstimateRequest wide = Request("a", cls, 3.0);
+  ASSERT_EQ(wide.features.size(), EstimateCache::kMaxKeyFeatures);
+  wide.features.push_back(1.0);
+  const EstimateResponse reference = uncached.Estimate(wide);
+  ASSERT_TRUE(reference.ok());
+  for (int i = 0; i < 3; ++i) {
+    const EstimateResponse single = cached.Estimate(wide);
+    EXPECT_EQ(std::bit_cast<uint64_t>(single.estimate_seconds),
+              std::bit_cast<uint64_t>(reference.estimate_seconds));
+    EXPECT_EQ(single.state, reference.state);
+    const std::vector<EstimateResponse> batch = cached.EstimateBatch({wide});
+    EXPECT_EQ(std::bit_cast<uint64_t>(batch[0].estimate_seconds),
+              std::bit_cast<uint64_t>(reference.estimate_seconds));
+  }
+  RuntimeStatsSnapshot stats = cached.Stats();
+  EXPECT_EQ(stats.estimate_cache_hits, 0u);
+  EXPECT_EQ(stats.estimate_cache_misses, 6u);
+
+  // The join class's own 12 features are cached.
+  const EstimateRequest join = Request("a", cls, 3.0);
+  ASSERT_TRUE(cached.Estimate(join).ok());
+  ASSERT_TRUE(cached.Estimate(join).ok());
+  stats = cached.Stats();
+  EXPECT_EQ(stats.estimate_cache_hits, 1u);
+  EXPECT_EQ(stats.estimate_cache_misses, 7u);
+}
+
+TEST_F(EstimateCacheUnitTest, OneTrackerReferencePerShardNotPerEntry) {
+  ASSERT_TRUE(tracker_->ProbeOnce());
+  const EstimateCache::InsertContext context = Context(0.0, 1.0);
+  constexpr int kInserts = 10000;  // far past the fixture's 64 slots
+  for (int i = 0; i < kInserts; ++i) {
+    cache_->Insert("a", 0, {static_cast<double>(i)}, 7, context,
+                   OkResponse(i));
+  }
+  // The fixture's own reference plus the shard's one pin.
+  EXPECT_LE(tracker_.use_count(), 2);
+
+  // Every entry invalidated, then met by a lookup: the last one out drops
+  // the pin.
+  cache_->InvalidateSite("a");
+  EstimateResponse response;
+  for (int i = 0; i < kInserts; ++i) {
+    EXPECT_FALSE(
+        cache_->Lookup("a", 0, {static_cast<double>(i)}, 7, &response));
+  }
+  EXPECT_EQ(tracker_.use_count(), 1);
+}
+
+TEST(EstimateCacheServiceTest, ReplacedTrackerDiesWithItsLastEntry) {
+  EstimationService service(CachedConfig());
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  // The tracker owns its probe function, so a token the probe captures
+  // lives exactly as long as the tracker.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> old_tracker_alive = token;
+  service.RegisterSite("a", [token] { return 0.5; });
+  token.reset();
+  ASSERT_TRUE(service.ProbeNow("a"));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(service.Estimate(Request("a", cls, 1.0 + i)).ok());
+  }
+
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+  // Only the cache entries keep the replaced tracker now.
+  EXPECT_FALSE(old_tracker_alive.expired());
+  // RegisterSite invalidated the site: each lookup retires its key's dead
+  // entry, and the re-insert pins the new tracker.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(service.Estimate(Request("a", cls, 1.0 + i)).ok());
+  }
+  EXPECT_TRUE(old_tracker_alive.expired());
 }
 
 // Concurrent hammer: estimate threads against state flips, model re-

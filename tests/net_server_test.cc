@@ -618,6 +618,13 @@ TEST_F(NetServerTest, TruncatedPayloadGetsInvalidOrMalformedNeverCrash) {
   auto body = DecodeErrorBodyPayload(frame.payload);
   ASSERT_TRUE(body.has_value());
   EXPECT_EQ(body->code, WireError::kMalformedFrame);
+
+  // The frame itself was intact, so the stream is not poisoned: the same
+  // connection stays open and answers the next request.
+  runtime::EstimateResponse response;
+  const RpcStatus next = client.Estimate(ValidRequest(), &response);
+  ASSERT_TRUE(next.ok()) << next.message;
+  EXPECT_TRUE(response.ok());
 }
 
 TEST_F(NetServerTest, UnknownMessageTypeIsAnsweredAndKeptOpen) {

@@ -24,7 +24,7 @@ case "${SANITIZER}" in
   address) BUILD_DIR="${REPO_ROOT}/build-asan" ;;
   *) BUILD_DIR="${REPO_ROOT}/build-${SANITIZER}" ;;
 esac
-FILTER='(ThreadPool|SnapshotCatalog|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|EstimateCache|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
+FILTER='(ThreadPool|SnapshotCatalog|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|EstimateCache|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|WireGoldenBytes|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DMSCM_SANITIZE="${SANITIZER}" \
   > /dev/null

@@ -1,5 +1,6 @@
-// Frame codec tests: round-trips for every message type, header-invariant
-// violations, truncated/byte-split delivery, semantic boundary rejection,
+// Frame codec tests: round-trips for every message type, the exact bytes of
+// every served message, header-invariant violations, truncated/byte-split
+// and many-frames-per-read delivery, semantic boundary rejection,
 // stats wire round-trip, and seeded random/mutation fuzzing of the
 // assembler + payload decoders (run under ASan/TSan via run_sanitized.sh).
 
@@ -208,6 +209,44 @@ TEST(FrameAssemblerTest, TruncatedFrameStaysPendingNotBroken) {
   EXPECT_GT(a.buffered_bytes(), 0u);
 }
 
+TEST(FrameAssemblerTest, ManyFramesInOneFeedComeOutInOrder) {
+  // A pipelining peer can land thousands of frames in one read.
+  constexpr uint32_t kFrames = 12000;
+  std::vector<uint8_t> stream;
+  for (uint32_t id = 1; id <= kFrames; ++id) {
+    const auto f = EncodeFrame(
+        MessageType::kEstimateRequest, id,
+        {static_cast<uint8_t>(id), static_cast<uint8_t>(id >> 8)});
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  FrameAssembler a;
+  ASSERT_TRUE(a.Feed(stream.data(), stream.size()));
+  EXPECT_EQ(a.frames_ready(), kFrames);
+  for (uint32_t id = 1; id <= kFrames; ++id) {
+    auto frame = a.Next();
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->request_id, id);
+    ASSERT_EQ(frame->payload,
+              (std::vector<uint8_t>{static_cast<uint8_t>(id),
+                                    static_cast<uint8_t>(id >> 8)}));
+  }
+  EXPECT_FALSE(a.Next().has_value());
+
+  // Then one frame split across the next two feeds comes out whole.
+  const std::vector<uint8_t> payload(40, 0xAB);
+  const auto split = EncodeFrame(MessageType::kStatsRequest, kFrames + 1,
+                                 payload);
+  ASSERT_TRUE(a.Feed(split.data(), 20));
+  EXPECT_FALSE(a.NextView().has_value());
+  ASSERT_TRUE(a.Feed(split.data() + 20, split.size() - 20));
+  const auto whole = a.NextView();
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->request_id, kFrames + 1);
+  EXPECT_EQ(std::vector<uint8_t>(whole->payload.begin(), whole->payload.end()),
+            payload);
+  EXPECT_EQ(a.buffered_bytes(), 0u);
+}
+
 // ---- Message round-trips ----------------------------------------------------
 
 TEST(WireMessagesTest, EstimateRequestRoundTrips) {
@@ -407,6 +446,21 @@ TEST(WireMessagesTest, ErrorFrameEchoesRequestId) {
   EXPECT_EQ(body->code, WireError::kShuttingDown);
 }
 
+TEST(WireMessagesTest, AppendFrameWritesAfterQueuedBytes) {
+  // As the server queues a pipelined response behind one not yet sent.
+  std::vector<uint8_t> out = EncodeFrame(MessageType::kStatsRequest, 1, {});
+  std::vector<uint8_t> expected = out;
+  const std::vector<uint8_t> payload = {7, 8, 9};
+  AppendFrame(&out, MessageType::kEstimateRequest, 2, payload.size(),
+              [&](WireWriter& w) {
+                w.PutBytes(payload.data(), payload.size());
+              });
+  const std::vector<uint8_t> second =
+      EncodeFrame(MessageType::kEstimateRequest, 2, payload);
+  expected.insert(expected.end(), second.begin(), second.end());
+  EXPECT_EQ(out, expected);  // both frames whole, no reserved room left over
+}
+
 // ---- Generation extension + feedback reports --------------------------------
 
 runtime::FeedbackReport MakeReport() {
@@ -555,6 +609,179 @@ TEST(WireValidationTest, ReportActualTruncationAndTrailingAreMalformed) {
   EXPECT_EQ(error, WireError::kMalformedFrame);
 }
 
+// ---- Golden bytes -----------------------------------------------------------
+//
+// Round trips cannot see a layout change that the encoder and the decoder
+// make together. These literals pin the exact bytes of every served message
+// type (the stats payload is pinned by StatsCodecTest.PayloadLayoutIsPinned);
+// a change to any of them is a wire-protocol change.
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+// A second request unlike MakeRequest(): another class, one feature, and the
+// "use the cached probe" sentinel.
+EstimateRequest MakeOtherRequest() {
+  EstimateRequest req;
+  req.site = "s";
+  req.class_id = core::QueryClassId::kUnarySeqScan;
+  req.features = {0.5};
+  req.probing_cost = -1.0;
+  return req;
+}
+
+EstimateResponse MakeOtherResponse() {
+  EstimateResponse resp;
+  resp.status = EstimateStatus::kNoProbe;
+  resp.state = -1;
+  resp.stale_model = true;
+  resp.model_generation = 0x0102030405060708ull;
+  return resp;
+}
+
+TEST(WireGoldenBytesTest, SingleRequestFrame) {
+  WireWriter w;
+  EncodeEstimateRequest(MakeRequest(), w);
+  EXPECT_EQ(Hex(EncodeFrame(MessageType::kEstimateRequest, 0x01020304,
+                            w.Take())),
+            "434d" "01" "01"            // magic, version, type
+            "04030201" "32000000"       // request id, payload length 50
+            "0500" "7369746533"         // site "site3"
+            "03"                        // class kJoinNoIndex
+            "000000000000fc3f"          // probing cost 1.75
+            "0400"                      // 4 features: 1, 2.5, -3.25, 1e6
+            "000000000000f03f" "0000000000000440"
+            "0000000000000ac0" "0000000080842e41");
+}
+
+TEST(WireGoldenBytesTest, SingleResponseWithGeneration) {
+  EstimateResponse resp = MakeResponse();
+  resp.model_generation = 7;
+  EXPECT_EQ(Hex(EncodeFrame(MessageType::kEstimateResponse, 0x01020304,
+                            EncodeEstimateResponsePayload(resp))),
+            "434d" "01" "02" "04030201" "1e000000"
+            "00"                        // status kOk
+            "000000000000c03f"          // estimate 0.125
+            "0000000000000440"          // probing cost 2.5
+            "03000000"                  // state 3
+            "05"                        // stale_probe | degraded
+            "0700000000000000");        // generation 7
+}
+
+TEST(WireGoldenBytesTest, BatchRequestAndResponse) {
+  EXPECT_EQ(
+      Hex(EncodeEstimateBatchRequest({MakeRequest(), MakeOtherRequest()})),
+      "02000000"                        // 2 items
+      "0500" "7369746533" "03" "000000000000fc3f"
+      "0400" "000000000000f03f" "0000000000000440"
+      "0000000000000ac0" "0000000080842e41"
+      "0100" "73"                       // site "s"
+      "00"                              // class kUnarySeqScan
+      "000000000000f0bf"                // probing cost -1: cached probe
+      "0100" "000000000000e03f");       // 1 feature: 0.5
+
+  EstimateResponse first = MakeResponse();
+  first.model_generation = 7;
+  EXPECT_EQ(Hex(EncodeEstimateBatchResponse({first, MakeOtherResponse()})),
+            "02000000"
+            "00" "000000000000c03f" "0000000000000440" "03000000" "05"
+            "02"                        // status kNoProbe
+            "0000000000000000" "0000000000000000"
+            "ffffffff"                  // state -1
+            "02"                        // stale_model
+            "0700000000000000"          // generations, after the items
+            "0807060504030201");
+}
+
+TEST(WireGoldenBytesTest, PlacementRequestAndResponseWithExtensions) {
+  PlacementCandidate a;
+  a.request = MakeRequest();
+  a.shipping_seconds = 1.5;
+  PlacementCandidate b;
+  b.request = MakeOtherRequest();
+  b.shipping_seconds = 0.25;
+  runtime::PlacementOptions options;
+  options.ranking.policy = core::PlacementPolicy::kRiskAdjusted;
+  options.ranking.risk_lambda = 2.0;
+  options.ranking.boundary_band_fraction = 0.125;
+  EXPECT_EQ(Hex(EncodePlacementRequest({a, b}, options)),
+            "02000000"
+            "0500" "7369746533" "03" "000000000000fc3f"
+            "0400" "000000000000f03f" "0000000000000440"
+            "0000000000000ac0" "0000000080842e41"
+            "000000000000f83f"          // shipping 1.5
+            "0100" "73" "00" "000000000000f0bf" "0100" "000000000000e03f"
+            "000000000000d03f"          // shipping 0.25
+            "02"                        // extension: kRiskAdjusted
+            "0000000000000040"          // risk lambda 2
+            "000000000000c03f");        // band fraction 0.125
+
+  PlacementResult result;
+  result.chosen = 1;
+  result.policy = core::PlacementPolicy::kExpectedCost;
+  result.responses = {MakeResponse(), MakeOtherResponse()};
+  result.responses[0].model_generation = 7;
+  result.total_seconds = {3.0, std::numeric_limits<double>::infinity()};
+  core::CostDistribution d;
+  d.mean = 2.0;
+  d.low = 1.0;
+  d.high = 3.0;
+  d.has_interval = true;
+  d.stale = true;
+  core::CostDistribution e;
+  e.degraded = true;
+  result.distributions = {d, e};
+  result.scores = {2.5, std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(Hex(EncodePlacementResponse(result)),
+            "01000000" "02000000"       // chosen 1, 2 candidates
+            "00" "000000000000c03f" "0000000000000440" "03000000" "05"
+            "0000000000000840"          // total 3
+            "02" "0000000000000000" "0000000000000000" "ffffffff" "02"
+            "000000000000f07f"          // total +inf
+            "01"                        // extension: kExpectedCost
+            "0000000000000040"          // mean 2
+            "000000000000f03f"          // low 1
+            "0000000000000840"          // high 3
+            "05"                        // stale | has_interval
+            "0000000000000440"          // score 2.5
+            "0000000000000000" "0000000000000000" "0000000000000000"
+            "02"                        // degraded
+            "000000000000f07f"          // score +inf
+            "0700000000000000"          // second extension: generations
+            "0807060504030201");
+}
+
+TEST(WireGoldenBytesTest, ReportActualFrameAndAck) {
+  EXPECT_EQ(Hex(EncodeFrame(MessageType::kReportActual, 0x0A0B0C0D,
+                            EncodeReportActual(MakeReport()))),
+            "434d" "01" "0a" "0d0c0b0a" "3a000000"
+            "0500" "7369746532"         // site "site2"
+            "03"                        // class kJoinNoIndex
+            "000000000000d83f"          // actual cost 0.375
+            "000000000000f43f"          // probing cost 1.25
+            "0900000000000000"          // generation 9
+            "0300"                      // 3 features: 4, 2, 1.5
+            "0000000000001040" "0000000000000040" "000000000000f83f");
+  EXPECT_EQ(Hex(EncodeFrame(MessageType::kReportActualAck, 0x0A0B0C0D,
+                            EncodeReportActualAck(true))),
+            "434d" "01" "0b" "0d0c0b0a" "01000000" "01");
+}
+
+TEST(WireGoldenBytesTest, ErrorFrame) {
+  EXPECT_EQ(Hex(EncodeErrorFrame(0xFFFFFFFEu, WireError::kOverloaded,
+                                 "server overloaded")),
+            "434d" "01" "09" "feffffff" "14000000"
+            "05"                        // kOverloaded
+            "1100" "736572766572206f7665726c6f61646564");
+}
+
 // ---- Semantic boundary rejection -------------------------------------------
 
 TEST(WireValidationTest, NonFiniteFeatureIsInvalidRequest) {
@@ -693,6 +920,82 @@ TEST(WireValidationTest, PlacementResponseRejectsInvertedInterval) {
   result.scores = {1.0};
   EXPECT_FALSE(DecodePlacementResponsePayload(EncodePlacementResponse(result))
                    .has_value());
+}
+
+TEST(WireValidationTest, OversizedSiteNameIsInvalidRequest) {
+  // A well-formed name past the cap is a request the boundary refuses, not
+  // broken bytes.
+  const std::string long_site(kMaxSiteNameBytes + 44, 'x');
+  EstimateRequest req = MakeRequest();
+  req.site = long_site;
+  WireError error = WireError::kNone;
+  {
+    WireWriter w;
+    EncodeEstimateRequest(req, w);
+    EXPECT_FALSE(DecodeEstimateRequestPayload(w.bytes(), &error).has_value());
+    EXPECT_EQ(error, WireError::kInvalidRequest);
+  }
+  error = WireError::kNone;
+  EXPECT_FALSE(DecodeEstimateBatchRequestPayload(
+                   EncodeEstimateBatchRequest({MakeRequest(), req}), &error)
+                   .has_value());
+  EXPECT_EQ(error, WireError::kInvalidRequest);
+
+  PlacementCandidate candidate;
+  candidate.request = req;
+  candidate.shipping_seconds = 1.0;
+  error = WireError::kNone;
+  EXPECT_FALSE(
+      DecodePlacementRequestPayload(EncodePlacementRequest({candidate}), &error)
+          .has_value());
+  EXPECT_EQ(error, WireError::kInvalidRequest);
+
+  runtime::FeedbackReport report = MakeReport();
+  report.site = long_site;
+  error = WireError::kNone;
+  EXPECT_FALSE(
+      DecodeReportActualPayload(EncodeReportActual(report), &error)
+          .has_value());
+  EXPECT_EQ(error, WireError::kInvalidRequest);
+
+  // A name of exactly the cap passes.
+  req.site = std::string(kMaxSiteNameBytes, 'x');
+  {
+    WireWriter w;
+    EncodeEstimateRequest(req, w);
+    const auto got = DecodeEstimateRequestPayload(w.bytes(), &error);
+    ASSERT_TRUE(got.has_value()) << ToString(error);
+    EXPECT_EQ(got->site, req.site);
+  }
+
+  // A length prefix that runs past the payload end stays broken bytes.
+  WireWriter truncated;
+  truncated.PutU16(static_cast<uint16_t>(long_site.size()));
+  truncated.PutU8('x');
+  error = WireError::kNone;
+  EXPECT_FALSE(
+      DecodeEstimateRequestPayload(truncated.bytes(), &error).has_value());
+  EXPECT_EQ(error, WireError::kMalformedFrame);
+  error = WireError::kNone;
+  EXPECT_FALSE(
+      DecodeReportActualPayload(truncated.bytes(), &error).has_value());
+  EXPECT_EQ(error, WireError::kMalformedFrame);
+  WireWriter truncated_batch;
+  truncated_batch.PutU32(1);
+  truncated_batch.PutU16(static_cast<uint16_t>(long_site.size()));
+  truncated_batch.PutU8('x');
+  for (const bool placement : {false, true}) {
+    error = WireError::kNone;
+    const bool decoded =
+        placement ? DecodePlacementRequestPayload(truncated_batch.bytes(),
+                                                  &error)
+                        .has_value()
+                  : DecodeEstimateBatchRequestPayload(truncated_batch.bytes(),
+                                                      &error)
+                        .has_value();
+    EXPECT_FALSE(decoded);
+    EXPECT_EQ(error, WireError::kMalformedFrame);
+  }
 }
 
 TEST(WireValidationTest, OversizedCountsAreInvalidRequest) {
