@@ -13,12 +13,11 @@
 //                  requests cycled repeatedly (cache disabled)
 //   hot x1 cached — same hot loop with the estimate cache enabled; the
 //                  derived cached_hot_loop_speedup_x is hot-cached / hot
-//   batch x1 cached — batch x1 with the estimate cache on, over at least
-//                  16x the per-thread cache in distinct keys (as
-//                  perfbench's serve_batch): every item misses and is
-//                  inserted, the path mscm_served pays on batch frames.
-//                  Its shared_rmw_per_request must read as batch x1's: an
-//                  insert performs no shared RMW
+//   single x1 cached — single x1 with the estimate cache on, over at least
+//                  16x the per-thread cache in distinct keys: every call
+//                  misses and is inserted, the path a cold point request
+//                  pays in mscm_served. Its shared_rmw_per_request must
+//                  read as single x1's: an insert performs no shared RMW
 //   compiled batch — one thread, EstimateBatch() over the hot working set
 //                  (cache disabled): the blocked loop over compiled rows
 //   termwalk x1  — raw-model hot loop through the retired per-term walk
@@ -75,7 +74,7 @@
 // 500 ms, 100 ms in --smoke: their readers are spawned and each serves its
 // own whole slice once before a start barrier releases them all into the
 // window, and the row counts what they served in it. Every other row times
-// one pass over the workload after a warmup pass.
+// one pass over the workload after a warmup pass over its tail.
 //
 // Each scenario runs kReps times and reports the best repetition — on a
 // shared machine the best rep is the least-perturbed measurement.
@@ -85,14 +84,14 @@
 // MSCM_RUNTIME_BENCH_REPS overrides the repetition count.
 // `--smoke` runs a bounded CI-sized pass (2000 requests, 1 rep), skips the
 // JSON write, and fails (exit 1) if any of these hold: the cached hot path
-// performed a shared atomic RMW per request, batch x1 cached read other
-// than batch x1's shared RMWs per request (to 3 decimals, where one extra
-// RMW per 512-item batch shows), degraded_overhead_x fell below
-// 0.8x (orientation check), expected-cost placement did not strictly beat
-// point-estimate placement on wrong-site rate in the boundary-jitter duel,
-// placement_expected_cost_wins stayed zero, the drift-recovery duel failed
-// to converge or its RLS-vs-rederive observation ratio fell below 3x, or
-// (on a multi-core machine) thread_scaling_honest_x fell below 1.05x.
+// performed a shared atomic RMW per request, single x1 cached read other
+// than single x1's shared RMWs per request (to 3 decimals),
+// degraded_overhead_x fell below 0.8x (orientation check), expected-cost
+// placement did not strictly beat point-estimate placement on wrong-site
+// rate in the boundary-jitter duel, placement_expected_cost_wins stayed
+// zero, the drift-recovery duel failed to converge or its RLS-vs-rederive
+// observation ratio fell below 3x, or (on a multi-core machine)
+// thread_scaling_honest_x fell below 1.05x.
 
 #include <algorithm>
 #include <atomic>
@@ -242,7 +241,6 @@ std::unique_ptr<runtime::EstimationService> MakeService(bool cached,
                                                         bool degraded) {
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
-  config.worker_threads = 0;  // reader threads are the parallelism measured
   if (cached) config.cache.capacity_per_thread = kCachePerThread;
   if (degraded) {
     config.breaker.failure_threshold = 1;
@@ -394,11 +392,15 @@ Result Run(const Scenario& scenario,
       rmw_total.fetch_add(runtime::RmwProbe::Current() - rmw_before,
                           std::memory_order_relaxed);
     };
-    // Warmup pass (1/8 of the workload, but at least one full cycle of the
-    // hot working set so cached scenarios enter the timed pass fully warm),
-    // then the timed pass over the whole workload on this thread.
-    drive(0, std::min(requests.size(),
-                      std::max<size_t>(requests.size() / 8, 512)));
+    // Warmup pass over the workload's tail (1/8 of it, but at least one full
+    // cycle of the hot working set so cached scenarios enter the timed pass
+    // fully warm), then the timed pass over the whole workload on this
+    // thread. Warming the tail leaves single x1 cached's timed pass meeting
+    // no key its warmup inserted.
+    drive(requests.size() -
+              std::min(requests.size(),
+                       std::max<size_t>(requests.size() / 8, 512)),
+          requests.size());
     rmw_total.store(0, std::memory_order_relaxed);
     const auto started = Clock::now();
     drive(0, requests.size());
@@ -623,7 +625,6 @@ FleetOutcome RunFleetScenario(bool smoke) {
 
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
-  config.worker_threads = 0;
   config.cache.capacity_per_thread = 2048;
   runtime::EstimationService service(config);
 
@@ -811,9 +812,7 @@ core::CostModel MakeConstantStateModel(const std::vector<double>& boundaries,
 }
 
 JitterOutcome RunJitterPlacement(size_t trials) {
-  runtime::EstimationServiceConfig config;
-  config.worker_threads = 0;
-  auto service = std::make_unique<runtime::EstimationService>(config);
+  auto service = std::make_unique<runtime::EstimationService>();
   service->RegisterModel("steady", MakeConstantStateModel({}, {1.0}, 71));
   service->RegisterModel("jitter",
                          MakeConstantStateModel({1.0}, {0.5, 4.0}, 72));
@@ -943,7 +942,6 @@ class CountingDriftSource : public core::ObservationSource {
 std::unique_ptr<runtime::EstimationService> MakeDuelService() {
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
-  config.worker_threads = 0;  // refreshes run inline
   auto service = std::make_unique<runtime::EstimationService>(config);
   service->RegisterModel("alpha",
                          MakeModel(core::QueryClassId::kUnarySeqScan, 1));
@@ -1014,6 +1012,7 @@ AdaptationDuelOutcome RunAdaptationDuel() {
 
   {  // Rederive arm: feedback only triggers; the refit re-samples the site.
     auto service = MakeDuelService();
+    // worker_threads 0: refreshes run inline.
     runtime::ModelRefreshConfig refresh_config;
     refresh_config.min_reports = 8;
     refresh_config.drift_window = 8;
@@ -1156,20 +1155,20 @@ int main(int argc, char** argv) {
                 Format("%llu",
                        static_cast<unsigned long long>(fleet.cache_hits))});
 
-  // Batch pricing of distinct keys with the cache on: every item misses and
-  // is inserted (results[14]).
-  const Scenario batch_cached{"batch x1 cached", 1, /*batched=*/true, false,
-                              false, /*cached=*/true};
+  // Single estimates of distinct keys with the cache on: every call misses
+  // and is inserted (results[14]).
+  const Scenario single_cached{"single x1 cached", 1, /*batched=*/false,
+                               false, false, /*cached=*/true};
   results.push_back(RunBestOf(
-      batch_cached, MakeWorkload(std::max(n, 16 * kCachePerThread)), reps,
+      single_cached, MakeWorkload(std::max(n, 16 * kCachePerThread)), reps,
       window));
-  const Result& batch_cached_result = results.back();
-  table.AddRow({batch_cached.name, Format("%.0f", batch_cached_result.qps),
-                Format("%.2f", batch_cached_result.p50_us),
-                Format("%.2f", batch_cached_result.p99_us),
-                Format("%.2f", batch_cached_result.rmw_per_request), "0",
+  const Result& single_cached_result = results.back();
+  table.AddRow({single_cached.name, Format("%.0f", single_cached_result.qps),
+                Format("%.2f", single_cached_result.p50_us),
+                Format("%.2f", single_cached_result.p99_us),
+                Format("%.2f", single_cached_result.rmw_per_request), "0",
                 Format("%llu", static_cast<unsigned long long>(
-                                   batch_cached_result.cache_hits))});
+                                   single_cached_result.cache_hits))});
   std::printf("%s\n", table.Render().c_str());
   if (8u > effective_hw) {
     std::printf("* oversubscribed: more reader threads than the machine's %u "
@@ -1234,15 +1233,14 @@ int main(int argc, char** argv) {
               degraded_overhead.max);
   std::printf("cached hot path shared RMWs per request:   %.3f (want 0)\n",
               results[8].rmw_per_request);
-  // Compared to 3 decimals, as the JSON prints them: one extra RMW per
-  // 512-item batch moves the third.
+  // Compared to 3 decimals, as the JSON prints them.
   const auto thousandths = [](double v) { return std::lround(v * 1000.0); };
   const bool insert_rmw_free =
-      thousandths(batch_cached_result.rmw_per_request) ==
-      thousandths(results[1].rmw_per_request);
-  std::printf("batch x1 cached / batch x1 shared RMWs:    %.3f / %.3f "
+      thousandths(single_cached_result.rmw_per_request) ==
+      thousandths(results[0].rmw_per_request);
+  std::printf("single x1 cached / single x1 shared RMWs:  %.3f / %.3f "
               "per request (want equal)\n",
-              batch_cached_result.rmw_per_request, results[1].rmw_per_request);
+              single_cached_result.rmw_per_request, results[0].rmw_per_request);
   std::printf("placement wrong-site rate point/expected:  %.3f / %.3f "
               "(%llu trials)\n",
               jitter.wrong_point_rate, jitter.wrong_expected_rate,
@@ -1274,11 +1272,11 @@ int main(int argc, char** argv) {
       fail = true;
     }
     if (!insert_rmw_free) {
-      std::printf("\nSMOKE FAIL: batch x1 cached performed %.3f shared "
-                  "atomic RMWs per request against batch x1's %.3f; an "
+      std::printf("\nSMOKE FAIL: single x1 cached performed %.3f shared "
+                  "atomic RMWs per request against single x1's %.3f; an "
                   "estimate-cache insert should add none\n",
-                  batch_cached_result.rmw_per_request,
-                  results[1].rmw_per_request);
+                  single_cached_result.rmw_per_request,
+                  results[0].rmw_per_request);
       fail = true;
     }
     if (!(degraded_overhead.median >= 0.8)) {
@@ -1400,8 +1398,9 @@ int main(int argc, char** argv) {
                  honest_scaling.max);
     std::fprintf(json, "  \"cached_hot_shared_rmw_per_request\": %.3f,\n",
                  results[8].rmw_per_request);
-    std::fprintf(json, "  \"cached_batch_shared_rmw_per_request\": %.3f,\n",
-                 batch_cached_result.rmw_per_request);
+    std::fprintf(json,
+                 "  \"cached_single_miss_shared_rmw_per_request\": %.3f,\n",
+                 single_cached_result.rmw_per_request);
     std::fprintf(json, "  \"cached_hot_loop_speedup_x\": %.3f,\n",
                  hot_cached_qps / hot_qps);
     std::fprintf(json, "  \"compiled_hot_loop_speedup_x\": %.3f,\n",

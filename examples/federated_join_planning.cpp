@@ -59,10 +59,6 @@ int main() {
   std::printf("Deriving local cost models (multi-states query sampling)…\n");
   runtime::EstimationServiceConfig service_config;
   service_config.probe_ttl = std::chrono::hours(1);  // probing is manual here
-  // State-keyed estimate cache: when the optimizer re-prices a placement it
-  // has already priced under the same contention state, the answer comes
-  // from the memo (see estimate_cache hits in the closing stats).
-  service_config.cache.capacity_per_thread = 1024;
   runtime::EstimationService service(service_config);
   for (mdbs::LocalDbs* site : {&alpha, &beta}) {
     core::AgentObservationSource source(site, cls, 5 + site->profile().name.size());
@@ -150,8 +146,8 @@ int main() {
         service.ChoosePlacement({cand_alpha, cand_beta});
 
     // A global optimizer enumerating join orders revisits the same component
-    // placement many times; those re-pricings hit the estimate cache (the
-    // sites' contention states have not moved within this round).
+    // placement many times; a re-pricing within this round, where the sites'
+    // contention states have not moved, must reach the same decision.
     const runtime::PlacementResult repriced =
         service.ChoosePlacement({cand_alpha, cand_beta});
     if (repriced.chosen != decision.chosen) {

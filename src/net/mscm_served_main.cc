@@ -3,16 +3,17 @@
 // Stands up a synthetic multi-site federation (derived multi-state cost
 // models + background contention probing + drift-triggered refresh) and
 // serves the binary estimation protocol on a TCP port until SIGINT/SIGTERM,
-// then performs the ordered graceful shutdown (drain → daemon → probers →
-// pool) and prints final wire + runtime stats.
+// then performs the ordered graceful shutdown (drain → adaptation → daemon
+// → probers) and prints final wire + runtime stats.
 //
 //   mscm_served [--port N] [--address A] [--sites N] [--io-threads N]
 //               [--workers N] [--max-inflight N] [--probe-interval-ms N]
 //               [--no-refresh] [--no-adaptation] [--quiet]
 //
-// Requests are priced on the --io-threads epoll loops that read them;
-// --workers sizes only the background pool (model re-derivations and the
-// fan-out of large batches).
+// Requests are priced on the --io-threads epoll loops that read them, each
+// frame in one pass on its loop; --workers sizes only the refresh daemon's
+// background re-derivation pool (0 re-derives on the adaptation drain
+// thread).
 //
 // With --port 0 (the default) an ephemeral port is chosen and announced on
 // stdout as "mscm_served listening on ADDR:PORT" — scripted harnesses

@@ -72,7 +72,6 @@ ServedRuntime::~ServedRuntime() { Shutdown(); }
 
 bool ServedRuntime::Start(std::string* error) {
   runtime::EstimationServiceConfig service_config;
-  service_config.worker_threads = config_.worker_threads;
   service_config.probe_ttl = std::chrono::seconds(5);
   service_config.probe_interval = config_.probe_interval;
   service_config.cache.capacity_per_thread = 4096;
@@ -98,7 +97,10 @@ bool ServedRuntime::Start(std::string* error) {
   }
 
   if (config_.refresh) {
-    daemon_ = std::make_unique<runtime::ModelRefreshDaemon>(service_.get());
+    runtime::ModelRefreshConfig refresh_config;
+    refresh_config.worker_threads = config_.worker_threads;
+    daemon_ = std::make_unique<runtime::ModelRefreshDaemon>(service_.get(),
+                                                            refresh_config);
     for (size_t i = 0; i < config_.sites; ++i) {
       const std::string site = "site" + std::to_string(i);
       for (const core::QueryClassId cls : classes) {
@@ -131,9 +133,7 @@ void ServedRuntime::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
   // The order is the contract — see the header comment. The stopped objects
-  // stay alive so callers can still read final stats and the bound port;
-  // ~ServedRuntime destroys members in reverse declaration order, which
-  // keeps the ThreadPool (inside the service) joining last.
+  // stay alive so callers can still read final stats and the bound port.
   if (server_ != nullptr) server_->Stop();
   // After the server stops, no IO loop can call Record(); the controller's
   // final drain may still escalate into the daemon, so it stops first.

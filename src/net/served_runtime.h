@@ -16,14 +16,14 @@
 //                             final drain; that drain may still escalate
 //                             into the refresh daemon, so it precedes 3.
 //   3. daemon stop          — the refresh daemon's destructor blocks until
-//                             in-flight re-derivations on the pool finish.
+//                             in-flight re-derivations on its pool finish,
+//                             then joins the pool.
 //   4. service.StopProbing()— background probers join; abandoned-probe
 //                             deadlines guarantee this terminates.
-//   5. service destruction  — the ThreadPool joins last, when nothing can
-//                             submit to it anymore.
 //
 // Violating 1→2 lets a live IO loop's feedback race a dying controller and
-// daemon; violating 2→4 lets a refresh task run on a joined pool.
+// daemon; violating 2→3 lets the controller's final drain escalate into a
+// destroyed daemon.
 // Shutdown() is idempotent and safe to call from a signal-handling main
 // loop.
 
@@ -48,9 +48,11 @@ struct ServedRuntimeConfig {
   // the unary-scan and no-index-join classes with a fitted 4-state model.
   size_t sites = 4;
   uint64_t seed = 1;
-  // EstimationService background pool: re-derivation tasks and the
-  // fan-out of large in-process batches. Wire requests never queue on it;
-  // the server prices them on its IO loops. < 0 = one per hardware thread.
+  // Threads of the refresh daemon's re-derivation pool (see
+  // ModelRefreshConfig::worker_threads): 0 re-derives inline on the
+  // adaptation drain thread that escalated, < 0 = one per hardware thread.
+  // Wire requests never queue on it; the server prices them on its IO
+  // loops.
   int worker_threads = 2;
   // Background probing cadence (zero disables the probers).
   std::chrono::nanoseconds probe_interval = std::chrono::milliseconds(50);

@@ -41,10 +41,10 @@
 // closes every connection. A request that was admitted is therefore always
 // answered before its connection closes — never dropped silently. Full-stack
 // teardown order is
-//   server.Stop() → ModelRefreshDaemon dtor → service.StopProbing() →
-//   EstimationService dtor (ThreadPool join)
+//   server.Stop() → adaptation stop → ModelRefreshDaemon dtor (its pool
+//   joins) → service.StopProbing() → EstimationService dtor
 // so no component's background threads can touch a component destroyed
-// before it.
+// before it (see served_runtime.h).
 
 #ifndef MSCM_NET_SERVER_H_
 #define MSCM_NET_SERVER_H_

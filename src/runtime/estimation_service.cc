@@ -84,8 +84,8 @@ const SiteProbe* FindProbe(std::span<const SiteProbe> probes,
   return nullptr;
 }
 
-// A chunk's record for one (site, class, state): the resolved model, stale
-// flag and site probe, and the chunk items that evaluate the state's row,
+// A pass's record for one (site, class, state): the resolved model, stale
+// flag and site probe, and the pass items that evaluate the state's row,
 // linked in item order through PassScratch::next.
 struct Group {
   const std::string* site = nullptr;
@@ -101,13 +101,11 @@ struct Group {
 
 // The pricing pass's per-thread buffers, reused call to call so a warm
 // thread prices without heap allocation. A pass never re-enters itself on
-// one thread. `probes` belongs to the thread that starts a pass; pool
-// workers pricing its chunks read that thread's list and write only their
-// own chunk buffers.
+// one thread.
 struct PassScratch {
   std::vector<SiteProbe> probes;
   std::vector<Group> groups;
-  std::vector<uint32_t> next;  // chunk item -> next member of its group
+  std::vector<uint32_t> next;  // pass item -> next member of its group
   std::vector<double> packed;
   std::vector<double> estimates;
 };
@@ -135,8 +133,7 @@ EstimationService::EstimationService(EstimationServiceConfig config)
       trackers_(std::make_shared<const TrackerMap>()),
       stale_keys_(std::make_shared<const StaleKeySet>()),
       instance_id_(
-          next_service_instance_id.fetch_add(1, std::memory_order_relaxed)),
-      pool_(config.worker_threads) {}
+          next_service_instance_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 EstimationService::~EstimationService() { StopProbing(); }
 
@@ -456,31 +453,20 @@ std::shared_ptr<ContentionTracker> EstimationService::FindTracker(
   return it == map->end() ? nullptr : it->second;
 }
 
-// One pricing pass's inputs, shared read-only by every chunk: the requests
-// and their response slots, the snapshots the caller's EpochGuard pins, and
-// the pass's site probes.
-struct EstimationService::Pass {
-  const EstimateRequest* requests;
-  EstimateResponse* responses;
-  const core::CompiledEquations** models;
-  const core::GlobalCatalog* catalog;
-  const StaleKeySet* stale_keys;
-  std::span<const SiteProbe> probes;
-  bool batch;
-  bool use_cache;
-};
-
 void EstimationService::Price(const EpochGuard& guard,
                               const EstimateRequest* requests, size_t n,
                               EstimateResponse* responses,
                               const core::CompiledEquations** models,
                               bool batch) const {
   const auto started = std::chrono::steady_clock::now();
-  if (batch) counters_.Local().Add(RuntimeCounter::batches);
+  PassScratch& scratch = t_scratch;
+  // Counted straight into the calling thread's own shard: plain stores, no
+  // shared atomic RMW (unless this thread landed on the overflow shard).
+  RuntimeCounters::Shard& counts = counters_.Local();
+  if (batch) counts.Add(RuntimeCounter::batches);
 
-  // One probe reading per distinct site for the whole call, taken before
-  // any chunk runs: pool workers read this thread's list, never write it.
-  std::vector<SiteProbe>& probes = t_scratch.probes;
+  // One probe reading per distinct site for the whole pass.
+  std::vector<SiteProbe>& probes = scratch.probes;
   probes.clear();
   const TrackerMap* trackers = trackers_.Read(guard);
   for (size_t i = 0; i < n; ++i) {
@@ -500,58 +486,23 @@ void EstimationService::Price(const EpochGuard& guard,
     }
   }
 
-  // The caller's pin covers the workers too: ParallelFor blocks this thread
-  // until every chunk completes, so no snapshot they read can be reclaimed
-  // under them.
-  const Pass pass{requests, responses, models, catalog_.Read(guard),
-                  stale_keys_.Read(guard), probes, batch, cache_.enabled()};
-  const auto price = [this, &pass](size_t begin, size_t end) {
-    PriceChunk(pass, begin, end);
-  };
-  // A pass that fits one chunk skips the pool's std::function round trip.
-  if (n <= config_.batch_grain) {
-    price(0, n);
-  } else {
-    pool_.ParallelFor(n, config_.batch_grain, price);
-  }
-
-  // The call's wall time spread over the items it priced: a rejected
-  // request did no work (the soak's conservation check flags
-  // count(estimate_latency) > requests).
-  const auto priced = static_cast<uint64_t>(
-      std::count_if(responses, responses + n, [](const EstimateResponse& r) {
-        return r.status != EstimateStatus::kInvalidRequest;
-      }));
-  if (priced > 0) {
-    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - started);
-    // A single estimate skips the 64-bit division, which sits on its path.
-    estimate_latency_.RecordN(
-        priced == 1 ? elapsed : elapsed / static_cast<int64_t>(priced), priced);
-  }
-}
-
-void EstimationService::PriceChunk(const Pass& pass, size_t begin,
-                                   size_t end) const {
-  PassScratch& scratch = t_scratch;
+  const core::GlobalCatalog* catalog = catalog_.Read(guard);
+  const StaleKeySet* stale_keys = stale_keys_.Read(guard);
+  const bool use_cache = cache_.enabled();
   std::vector<Group>& groups = scratch.groups;
   std::vector<uint32_t>& next = scratch.next;
   std::vector<double>& estimates = scratch.estimates;
   groups.clear();
-  if (next.size() < end - begin) {
-    next.resize(end - begin);
-    estimates.resize(end - begin);
+  if (next.size() < n) {
+    next.resize(n);
+    estimates.resize(n);
   }
-  const uint64_t revision = pass.catalog->revision();
-  // Counted straight into the calling thread's own shard: plain stores, no
-  // shared atomic RMW (unless this thread landed on the overflow shard).
-  RuntimeCounters::Shard& counts = counters_.Local();
 
-  // Scan: validate, consult the cache, resolve model, probe and state, and
-  // file each priceable item under its (site, class, state) group.
-  for (size_t i = begin; i < end; ++i) {
-    const EstimateRequest& request = pass.requests[i];
-    EstimateResponse& response = pass.responses[i];
+  // Scan: validate, resolve model, probe and state, and file each priceable
+  // item under its (site, class, state) group.
+  for (size_t i = 0; i < n; ++i) {
+    const EstimateRequest& request = requests[i];
+    EstimateResponse& response = responses[i];
     // A non-finite value must never become an estimate-cache key or a
     // served estimate.
     if (!RequestIsValid(request)) {
@@ -559,18 +510,14 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
       response.status = EstimateStatus::kInvalidRequest;
       continue;
     }
-    bool hit = false;
-    if (pass.use_cache && request.probing_cost < 0.0) {
-      hit = pass.batch &&
-            cache_.Lookup(request.site, static_cast<int>(request.class_id),
-                          request.features, revision, &response);
-      counts.Add(hit ? RuntimeCounter::estimate_cache_hits
-                     : RuntimeCounter::estimate_cache_misses);
+    // The cache did not answer this item: a single estimate reaches the
+    // pass after Estimate's lookup missed, and a batch item never looks.
+    if (use_cache && request.probing_cost < 0.0) {
+      counts.Add(RuntimeCounter::estimate_cache_misses);
     }
-    if (hit && pass.models == nullptr) continue;
 
-    // The chunk's first record for the (site, class): its model, stale flag
-    // and site probe, resolved once per chunk. Its state is the cached
+    // The pass's first record for the (site, class): its model, stale flag
+    // and site probe, resolved once per pass. Its state is the cached
     // probe's (-1 without one); an explicit probing cost that selects
     // another state gets a record of its own below.
     size_t g = 0;
@@ -584,13 +531,12 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
       group.class_id = request.class_id;
       // Serving reads only the compiled per-state table — never the model's
       // derivation-side DesignLayout.
-      group.equations =
-          pass.catalog->FindCompiled(request.site, request.class_id);
+      group.equations = catalog->FindCompiled(request.site, request.class_id);
       group.stale_model =
-          group.equations != nullptr && !pass.stale_keys->empty() &&
-          pass.stale_keys->count(std::make_pair(
+          group.equations != nullptr && !stale_keys->empty() &&
+          stale_keys->count(std::make_pair(
               request.site, static_cast<int>(request.class_id))) > 0;
-      group.probe = FindProbe(pass.probes, request.site);
+      group.probe = FindProbe(probes, request.site);
       if (group.equations != nullptr && group.probe != nullptr &&
           group.probe->reading.has_value) {
         group.state =
@@ -598,9 +544,7 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
       }
     }
     const core::CompiledEquations* equations = groups[g].equations;
-    // A placement ranks a cached answer by its model too.
-    if (pass.models != nullptr) pass.models[i] = equations;
-    if (hit) continue;
+    if (models != nullptr) models[i] = equations;
     counts.Add(RuntimeCounter::requests);
     if (equations == nullptr) {
       counts.Add(RuntimeCounter::no_model);
@@ -655,7 +599,7 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
       g = s;
     }
     Group& group = groups[g];
-    const auto m = static_cast<uint32_t>(i - begin);
+    const auto m = static_cast<uint32_t>(i);
     if (group.size++ == 0) {
       group.head = m;
     } else {
@@ -667,8 +611,6 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
   // Flush: per group, gather the members' selected features into packed
   // rows, evaluate them against the group's one state row (bit-exact with
   // evaluating each row alone) and fill every priced response here.
-  const EstimateRequest* requests = pass.requests + begin;
-  EstimateResponse* responses = pass.responses + begin;
   std::vector<double>& packed = scratch.packed;
   for (const Group& group : groups) {
     if (group.size == 0) continue;
@@ -689,12 +631,17 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
       response.estimate_seconds = estimates[r];
     }
 
-    // Cache what was priced from a fresh, healthy tracker reading. A stale,
+    // Cache the single estimate (a pass of one, so the group's head) when
+    // it was priced from a fresh, healthy tracker reading. A stale,
     // degraded or explicit-probing-cost response is not a function of the
     // tracker's published state — and a degraded one must stop being
-    // served the moment the half-open trial restores the site.
+    // served the moment the half-open trial restores the site. Batch and
+    // placement items are never cached: no workload repeats one, so their
+    // inserts only evicted the singles that do repeat.
     const SiteProbe* probe = group.probe;
-    if (!pass.use_cache || probe == nullptr || probe->tracker == nullptr ||
+    const EstimateRequest& request = requests[group.head];
+    if (batch || !use_cache || request.probing_cost >= 0.0 ||
+        probe == nullptr || probe->tracker == nullptr ||
         !probe->reading.has_value || probe->reading.stale ||
         probe->reading.degraded) {
       continue;
@@ -705,12 +652,24 @@ void EstimationService::PriceChunk(const Pass& pass, size_t begin,
     context.tracker = probe->tracker;
     context.state_version = probe->state_version_before;
     equations.StateInterval(group.state, &context.state_lo, &context.state_hi);
-    for (uint32_t r = 0, m = group.head; r < group.size; ++r, m = next[m]) {
-      const EstimateRequest& request = requests[m];
-      if (request.probing_cost >= 0.0) continue;
-      cache_.Insert(request.site, static_cast<int>(request.class_id),
-                    request.features, revision, context, responses[m]);
-    }
+    cache_.Insert(request.site, static_cast<int>(request.class_id),
+                  request.features, catalog->revision(), context,
+                  responses[group.head]);
+  }
+
+  // The call's wall time spread over the items it priced: a rejected
+  // request did no work (the soak's conservation check flags
+  // count(estimate_latency) > requests).
+  const auto priced = static_cast<uint64_t>(
+      std::count_if(responses, responses + n, [](const EstimateResponse& r) {
+        return r.status != EstimateStatus::kInvalidRequest;
+      }));
+  if (priced > 0) {
+    const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::steady_clock::now() - started);
+    // A single estimate skips the 64-bit division, which sits on its path.
+    estimate_latency_.RecordN(
+        priced == 1 ? elapsed : elapsed / static_cast<int64_t>(priced), priced);
   }
 }
 

@@ -15,15 +15,19 @@
 // Responses carry the contention state used, and a `stale_probe` flag when
 // the cached probe has outlived its TTL (last-known-state fallback).
 //
-// Every request is priced by one pass: under one epoch pin it reads one
-// catalog snapshot and one probe reading per distinct site, resolves each
-// request's model, probe and state, answers a short feature vector with
-// kInvalidRequest, evaluates the rest in (site, class, state) groups, fills
-// each response in one place and caches what is cacheable. Estimate() runs
-// it over one request behind the cache-hit front end; EstimateBatch() runs
-// it over many — the federated-join planner prices every candidate
-// placement of every component query at once — fanning chunks out on a
-// worker pool; ChoosePlacement() ranks under the same pin it priced with.
+// Every request is priced by one pass, a loop on the calling thread: under
+// one epoch pin it reads one catalog snapshot and one probe reading per
+// distinct site, resolves each request's model, probe and state, answers a
+// short feature vector with kInvalidRequest, evaluates the rest in
+// (site, class, state) groups and fills each response in one place.
+// Estimate() runs it over one request behind the cache-hit front end and
+// caches the answer; EstimateBatch() runs it over many — the federated-join
+// planner prices every candidate placement of every component query at
+// once — and ChoosePlacement() ranks under the same pin it priced with.
+// Batch and placement items neither read nor fill the estimate cache. The
+// service owns no threads but its per-site probers: a caller that wants
+// parallel pricing calls EstimateBatch() from its own threads, as the
+// server's IO loops do.
 
 #ifndef MSCM_RUNTIME_ESTIMATION_SERVICE_H_
 #define MSCM_RUNTIME_ESTIMATION_SERVICE_H_
@@ -48,7 +52,6 @@
 #include "runtime/estimate_types.h"
 #include "runtime/runtime_stats.h"
 #include "runtime/snapshot_catalog.h"
-#include "runtime/thread_pool.h"
 
 namespace mscm::mdbs {
 class MdbsAgent;
@@ -61,11 +64,6 @@ struct EstimationServiceConfig {
   std::chrono::nanoseconds probe_ttl = std::chrono::seconds(5);
   // Background probe period per site; zero = probe only via ProbeNow().
   std::chrono::nanoseconds probe_interval{0};
-  // Worker threads for EstimateBatch fan-out: 0 = run batches on the
-  // calling thread, < 0 = one per hardware thread.
-  int worker_threads = 0;
-  // Minimum batch items per fan-out chunk.
-  size_t batch_grain = 64;
   // Per-site adaptive probing cadence bounds (see ContentionTrackerConfig);
   // both positive enables adaptation, starting from probe_interval.
   std::chrono::nanoseconds min_probe_interval{0};
@@ -82,8 +80,8 @@ struct EstimationServiceConfig {
   // suppressed, estimates serve from the last known state with
   // degraded=true, and the refresh daemon holds its re-derivations.
   CircuitBreakerConfig breaker;
-  // State-keyed response memo (see estimate_cache.h); capacity_per_thread 0
-  // disables.
+  // State-keyed response memo for single estimates (see estimate_cache.h);
+  // capacity_per_thread 0 disables.
   EstimateCacheConfig cache;
   // Soft state-membership band for the near_boundary_sites gauge and the
   // default placement ranking: a site whose published probing cost sits
@@ -191,7 +189,7 @@ class EstimationService {
   // Estimates keep serving from the last cached readings. Idempotent; the
   // destructor calls it. Ordered teardown of a serving stack is
   //   server drain → refresh daemon stop → StopProbing() → service dtor
-  // (the dtor's ThreadPool join is last — see net/server.h).
+  // (see net/served_runtime.h).
   void StopProbing();
 
   // Synchronous probe of one site; false if unknown site or probe failure.
@@ -220,9 +218,10 @@ class EstimationService {
 
   EstimateResponse Estimate(const EstimateRequest& request) const;
 
-  // Prices every request against one catalog snapshot, fetching each
-  // distinct site's cached probe once and fanning chunks out on the worker
-  // pool (when configured). responses[i] answers requests[i].
+  // Prices every request on the calling thread against one catalog
+  // snapshot, fetching each distinct site's cached probe once. The items
+  // neither read nor fill the estimate cache. responses[i] answers
+  // requests[i].
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests) const;
   // As above, into caller storage of the same size: responses[i] answers
@@ -249,13 +248,6 @@ class EstimationService {
     return catalog_.snapshot();
   }
 
-  size_t num_worker_threads() const { return pool_.num_threads(); }
-
-  // The service's worker pool — shared with the ModelRefreshDaemon so
-  // background re-derivations ride the same threads as batch fan-out.
-  // With zero workers, submitted tasks run inline on the caller.
-  ThreadPool& worker_pool() const { return pool_; }
-
  private:
   using TrackerMap =
       std::map<std::string, std::shared_ptr<ContentionTracker>>;
@@ -269,18 +261,15 @@ class EstimationService {
   std::shared_ptr<ContentionTracker> FindTracker(const std::string& site) const;
 
   // The pricing pass (estimation_service.cc): prices requests[0, n) into
-  // responses[0, n) from the snapshots `guard` pins, fanning chunks out on
-  // the worker pool, and records the call's latency over the items it
-  // priced. `models`, when not null, receives each item's resolved model
-  // (valid while `guard` lives). A `batch` counts one batch and consults the
-  // estimate cache per item; a single estimate arrives after Estimate's
-  // front end consulted it.
-  struct Pass;
+  // responses[0, n) on the calling thread from the snapshots `guard` pins,
+  // and records the call's latency over the items it priced. `models`, when
+  // not null, receives each item's resolved model (valid while `guard`
+  // lives). A `batch` counts one batch and leaves the estimate cache alone;
+  // otherwise the pass prices Estimate's one request after the cache's
+  // front end missed, and caches the answer.
   void Price(const EpochGuard& guard, const EstimateRequest* requests,
              size_t n, EstimateResponse* responses,
              const core::CompiledEquations** models, bool batch) const;
-  // One chunk of a pass: the scan and the grouped flush.
-  void PriceChunk(const Pass& pass, size_t begin, size_t end) const;
 
   // Flips the stale flag for a key; caller must hold control_mutex_.
   void SetModelStaleLocked(const std::string& site,
@@ -347,7 +336,6 @@ class EstimationService {
   // past the request count.
   const uint64_t instance_id_;
 
-  mutable ThreadPool pool_;
   mutable RuntimeCounters counters_;
   mutable LatencyHistogram estimate_latency_;
   mutable LatencyHistogram probe_latency_;

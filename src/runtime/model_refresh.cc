@@ -42,7 +42,8 @@ ModelRefreshDaemon::ModelRefreshDaemon(EstimationService* service,
                                        ModelRefreshConfig config)
     : service_(service),
       config_(config),
-      keys_(std::make_shared<const KeyMap>()) {}
+      keys_(std::make_shared<const KeyMap>()),
+      pool_(config.worker_threads) {}
 
 ModelRefreshDaemon::~ModelRefreshDaemon() {
   std::unique_lock<std::mutex> lock(pending_mutex_);
@@ -268,7 +269,7 @@ void ModelRefreshDaemon::ReportObserved(const std::string& site,
     ++pending_;
   }
   // With zero pool workers this runs inline (entry->mutex is not held).
-  service_->worker_pool().Submit([this, entry] { RunRefresh(entry); });
+  pool_.Submit([this, entry] { RunRefresh(entry); });
 }
 
 bool ModelRefreshDaemon::RequestRefresh(const std::string& site,
@@ -293,7 +294,7 @@ bool ModelRefreshDaemon::RequestRefresh(const std::string& site,
     std::lock_guard<std::mutex> lock(pending_mutex_);
     ++pending_;
   }
-  service_->worker_pool().Submit([this, entry] { RunRefresh(entry); });
+  pool_.Submit([this, entry] { RunRefresh(entry); });
   return true;
 }
 

@@ -23,7 +23,7 @@
 //              retry after backoff  ◀──────────── backed-off
 //
 // A refresh re-samples through the key's ObservationSource and re-derives
-// via core::RederiveModel on the service's worker pool, warm-starting from
+// via core::RederiveModel on the daemon's worker pool, warm-starting from
 // the feedback observations already collected. On success the new model is
 // published through the service's snapshot catalog (one atomic swap; the
 // tracker's state mapper is rewired in the same control-plane critical
@@ -62,6 +62,7 @@
 #include "runtime/atomic_shared_ptr.h"
 #include "runtime/clock.h"
 #include "runtime/estimation_service.h"
+#include "runtime/thread_pool.h"
 
 namespace mscm::runtime {
 
@@ -87,6 +88,10 @@ struct ModelRefreshConfig {
   std::chrono::nanoseconds max_backoff = std::chrono::seconds(10);
   // Quiet period after a successful refresh before the key can trip again.
   std::chrono::nanoseconds refresh_cooldown = std::chrono::seconds(1);
+  // Threads of the daemon's re-derivation pool: 0 runs each refresh inline
+  // on the thread that scheduled it (ReportObserved or RequestRefresh),
+  // < 0 = one per hardware thread.
+  int worker_threads = 0;
   // How to re-derive (sampling + pipeline options, warm-start caps).
   core::RederiveOptions rederive;
   Clock* clock = Clock::System();
@@ -132,12 +137,14 @@ struct RefreshKeyStatus {
 
 class ModelRefreshDaemon {
  public:
-  // `service` must outlive the daemon. Refresh tasks run on
-  // service->worker_pool(); with zero workers they run inline inside the
-  // ReportObserved that tripped them (deterministic — the test mode).
+  // `service` must outlive the daemon. Refresh tasks run on the daemon's
+  // pool of config.worker_threads; with zero workers they run inline inside
+  // the ReportObserved or RequestRefresh that scheduled them (deterministic
+  // — the test mode).
   explicit ModelRefreshDaemon(EstimationService* service,
                               ModelRefreshConfig config = {});
-  // Blocks until every in-flight refresh task has finished.
+  // Blocks until every in-flight refresh task has finished, then joins the
+  // pool.
   ~ModelRefreshDaemon();
 
   ModelRefreshDaemon(const ModelRefreshDaemon&) = delete;
@@ -250,6 +257,10 @@ class ModelRefreshDaemon {
   std::atomic<uint64_t> refreshes_suspended_{0};
   std::atomic<uint64_t> refresh_exceptions_{0};
   std::atomic<uint64_t> refreshes_abandoned_{0};
+
+  // Declared last, so it joins before any member a refresh task touches is
+  // destroyed.
+  ThreadPool pool_;
 };
 
 }  // namespace mscm::runtime

@@ -241,7 +241,7 @@ class ShardedCounters {
   ROW(stale_model_served, kCounter)  /* priced from a drift-flagged model */  \
   ROW(stale_models, kGauge)          /* (site, class) keys flagged stale */   \
   ROW(estimate_cache_hits, kCounter) /* served from the response memo */      \
-  ROW(estimate_cache_misses, kCounter) /* memo consulted, priced anyway */    \
+  ROW(estimate_cache_misses, kCounter) /* memo on, did not answer it */       \
   ROW(estimate_cache_invalidations, kCounter) /* memo entries evicted */      \
   ROW(placements, kCounter)          /* ChoosePlacement decisions */          \
   /* A distribution-aware policy picked another site than the point */        \

@@ -1,11 +1,7 @@
 #include "runtime/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
-
-#include "runtime/rmw_probe.h"
 
 namespace mscm::runtime {
 
@@ -41,57 +37,6 @@ void ThreadPool::Submit(std::function<void()> task) {
     queue_.push_back(std::move(task));
   }
   wake_.notify_one();
-}
-
-void ThreadPool::ParallelFor(size_t n, size_t min_grain,
-                             const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  min_grain = std::max<size_t>(1, min_grain);
-  const size_t max_chunks = workers_.empty() ? 1 : workers_.size() + 1;
-  size_t chunks = std::min(max_chunks, (n + min_grain - 1) / min_grain);
-  if (chunks <= 1) {
-    body(0, n);
-    return;
-  }
-  const size_t grain = (n + chunks - 1) / chunks;
-  chunks = (n + grain - 1) / grain;  // re-derive: last chunk may vanish
-
-  // Completion state lives on the heap, shared by every submitted chunk:
-  // a worker's final fetch_sub is what releases the waiting caller, so the
-  // caller can return (and a stack-local mutex/cv would be destroyed) while
-  // that worker is still between its decrement and its notify. Each task's
-  // shared_ptr keeps the state alive until the notify completes. The
-  // refcount traffic is real shared RMWs, amortized over a whole chunk.
-  struct Completion {
-    std::atomic<size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable cv;
-    explicit Completion(size_t n) : remaining(n) {}
-  };
-  auto done = std::make_shared<Completion>(chunks - 1);
-  RmwProbe::Count(chunks);  // one refcount bump per task + caller's release
-
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t begin = c * grain;
-    const size_t end = std::min(n, begin + grain);
-    Submit([&body, done, begin, end] {
-      body(begin, end);
-      if (done->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Taking the mutex before notifying orders the notify after the
-        // caller's wait registration; the shared_ptr keeps `done` valid
-        // even if the caller has already observed remaining == 0 and left.
-        std::lock_guard<std::mutex> lock(done->mutex);
-        done->cv.notify_one();
-      }
-    });
-  }
-  // The caller works the first chunk instead of just blocking.
-  body(0, std::min(n, grain));
-
-  std::unique_lock<std::mutex> lock(done->mutex);
-  done->cv.wait(lock, [&] {
-    return done->remaining.load(std::memory_order_acquire) == 0;
-  });
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,8 +1,8 @@
-// A small fixed-size worker pool for fanning estimation batches out across
-// cores. Deliberately minimal: FIFO queue of std::function tasks, a
-// blocking ParallelFor that splits an index range into chunks, and inline
-// execution when constructed with zero workers (degenerates to a plain
-// loop — handy for deterministic tests and single-core machines).
+// A small fixed-size worker pool: the ModelRefreshDaemon's background
+// re-derivations run on it. Deliberately minimal: a FIFO queue of
+// std::function tasks, and inline execution when constructed with zero
+// workers (Submit degenerates to a plain call — handy for deterministic
+// tests).
 
 #ifndef MSCM_RUNTIME_THREAD_POOL_H_
 #define MSCM_RUNTIME_THREAD_POOL_H_
@@ -30,13 +30,6 @@ class ThreadPool {
 
   // Enqueues a task. With zero workers the task runs inline.
   void Submit(std::function<void()> task);
-
-  // Runs body(begin, end) over [0, n) split into per-worker chunks of at
-  // least `min_grain` indexes; blocks until every chunk finished. The
-  // calling thread processes the first chunk itself, so the pool adds
-  // parallelism without a handoff for small batches.
-  void ParallelFor(size_t n, size_t min_grain,
-                   const std::function<void(size_t, size_t)>& body);
 
  private:
   void WorkerLoop();

@@ -93,7 +93,10 @@ TEST(EstimateCacheServiceTest, RepeatedRequestHitsAndMatchesUncachedAnswer) {
   EXPECT_EQ(service.Stats().estimate_cache_misses, 2u);
 }
 
-TEST(EstimateCacheServiceTest, BatchWarmsAndHitsTheSameCache) {
+// Only single estimates use the cache. Batch items neither look up nor
+// insert, yet each one priced from the tracker's reading counts a miss: the
+// cache did not answer it.
+TEST(EstimateCacheServiceTest, BatchesNeitherReadNorFillTheCache) {
   EstimationService service(CachedConfig());
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
@@ -110,18 +113,32 @@ TEST(EstimateCacheServiceTest, BatchWarmsAndHitsTheSameCache) {
   for (size_t i = 0; i < cold.size(); ++i) {
     ASSERT_TRUE(cold[i].ok());
     ASSERT_TRUE(warm[i].ok());
-    EXPECT_DOUBLE_EQ(warm[i].estimate_seconds, cold[i].estimate_seconds);
+    EXPECT_EQ(std::bit_cast<uint64_t>(warm[i].estimate_seconds),
+              std::bit_cast<uint64_t>(cold[i].estimate_seconds));
   }
-  const RuntimeStatsSnapshot stats = service.Stats();
-  // The first batch misses on every item: lookups happen in the scan pass,
-  // inserts at the grouped flush, so intra-batch duplicates are priced by
-  // the grouped kernel rather than the memo. The second batch is all hits.
-  EXPECT_EQ(stats.estimate_cache_misses, 8u);
-  EXPECT_EQ(stats.estimate_cache_hits, 8u);
+  RuntimeStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.estimate_cache_hits, 0u);
+  EXPECT_EQ(stats.estimate_cache_misses, 16u);
   EXPECT_EQ(stats.requests, 16u);
-  // The single-request path shares the same cache.
-  EXPECT_TRUE(service.Estimate(Request("a", cls, 1.0)).ok());
-  EXPECT_EQ(service.Stats().estimate_cache_hits, 9u);
+
+  // The batches filled nothing, so the first single misses and fills; the
+  // second hits, with the batch's answer bit for bit.
+  for (const uint64_t hits : {0u, 1u}) {
+    const EstimateResponse single = service.Estimate(batch[0]);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(single.estimate_seconds),
+              std::bit_cast<uint64_t>(cold[0].estimate_seconds));
+    stats = service.Stats();
+    EXPECT_EQ(stats.estimate_cache_hits, hits);
+    EXPECT_EQ(stats.estimate_cache_misses, 17u);
+  }
+
+  // A batch holding the key the single filled still does not read it.
+  ASSERT_TRUE(service.EstimateBatch(batch)[0].ok());
+  stats = service.Stats();
+  EXPECT_EQ(stats.estimate_cache_hits, 1u);
+  EXPECT_EQ(stats.estimate_cache_misses, 25u);
+  EXPECT_EQ(stats.requests, 26u);
 }
 
 TEST(EstimateCacheServiceTest, StateTransitionInvalidatesAndRepricesExactly) {

@@ -18,7 +18,6 @@ namespace {
 ServedRuntimeConfig TestConfig() {
   ServedRuntimeConfig config;
   config.sites = 2;
-  config.worker_threads = 2;
   config.refresh = false;
   config.probe_interval = std::chrono::milliseconds(0);
   return config;

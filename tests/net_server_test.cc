@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -40,7 +41,6 @@ using runtime::PlacementResult;
 ServedRuntimeConfig TestConfig() {
   ServedRuntimeConfig config;
   config.sites = 2;
-  config.worker_threads = 2;
   config.refresh = false;  // keep tests focused on the wire
   config.probe_interval = std::chrono::milliseconds(0);  // no background probes
   return config;
@@ -194,21 +194,54 @@ TEST_F(NetServerTest, WireEstimateMatchesInProcessEstimate) {
   EXPECT_EQ(over_wire.state, in_process.state);
 }
 
+// A small frame, then the largest pass the wire can hand an IO loop: one
+// frame of kMaxBatchItems over both sites and both classes. Every answer
+// equals the in-process Estimate of its request in each wire field, the
+// estimate bit for bit. TestConfig runs no background probes, so every
+// request carries its probing cost.
 TEST_F(NetServerTest, BatchOverLoopback) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", served_->port()));
 
-  std::vector<EstimateRequest> requests;
+  std::vector<EstimateRequest> small;
   for (int i = 0; i < 16; ++i) {
-    requests.push_back(ValidRequest(i % 2 == 0 ? "site0" : "site1"));
-    requests.back().features[0] = 1.0 + i;
+    small.push_back(ValidRequest(i % 2 == 0 ? "site0" : "site1"));
+    small.back().features[0] = 1.0 + i;
   }
-  std::vector<EstimateResponse> responses;
-  const RpcStatus status = client.EstimateBatch(requests, &responses);
-  ASSERT_TRUE(status.ok()) << status.message;
-  ASSERT_EQ(responses.size(), requests.size());
-  for (const auto& resp : responses) {
-    EXPECT_EQ(resp.status, EstimateStatus::kOk);
+  std::vector<EstimateRequest> largest;
+  Rng rng(8192);
+  for (size_t i = 0; i < kMaxBatchItems; ++i) {
+    EstimateRequest& request = largest.emplace_back();
+    request.site = i % 2 == 0 ? "site0" : "site1";
+    request.class_id = (i / 2) % 2 == 0 ? core::QueryClassId::kUnarySeqScan
+                                        : core::QueryClassId::kJoinNoIndex;
+    request.features.assign(
+        core::VariableSet::ForClass(request.class_id).size(), 0.0);
+    for (size_t j = 0; j < 3; ++j) request.features[j] = rng.Uniform(1.0, 10.0);
+    request.probing_cost = rng.Uniform(0.0, 4.0);
+  }
+
+  for (const std::vector<EstimateRequest>* requests : {&small, &largest}) {
+    std::vector<EstimateResponse> responses;
+    const RpcStatus status = client.EstimateBatch(*requests, &responses);
+    ASSERT_TRUE(status.ok()) << status.message;
+    ASSERT_EQ(responses.size(), requests->size());
+    for (size_t i = 0; i < responses.size(); ++i) {
+      const EstimateResponse& got = responses[i];
+      const EstimateResponse want = served_->service().Estimate((*requests)[i]);
+      ASSERT_EQ(got.status, EstimateStatus::kOk) << i;
+      EXPECT_EQ(got.status, want.status) << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.estimate_seconds),
+                std::bit_cast<uint64_t>(want.estimate_seconds))
+          << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.probing_cost),
+                std::bit_cast<uint64_t>(want.probing_cost))
+          << i;
+      EXPECT_EQ(got.state, want.state) << i;
+      EXPECT_EQ(got.stale_probe, want.stale_probe) << i;
+      EXPECT_EQ(got.stale_model, want.stale_model) << i;
+      EXPECT_EQ(got.degraded, want.degraded) << i;
+    }
   }
 }
 

@@ -6,8 +6,9 @@
 #
 #   tests/net_smoke.sh [BUILD_DIR]     # default build dir: ./build
 #
-# Exits non-zero if the server fails to start within 10s, the load run
-# completes nothing, or shutdown is not clean within 15s.
+# Exits non-zero if the server fails to start within 10s, a load run
+# completes nothing, a closed-loop estimate run reports an error frame or a
+# transport error, or shutdown is not clean within 15s.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -55,10 +56,27 @@ if [[ -z "${PORT}" ]]; then
 fi
 echo "net_smoke: server up on port ${PORT}"
 
+# A closed-loop run must answer every frame it sends: no kOverloaded or
+# other typed error frame, and no transport error.
+expect_no_errors() {
+  if ! grep -q '"overloaded": 0,' "$1" || ! grep -q '"errors": 0,' "$1" ||
+     ! grep -q '"transport_errors": 0,' "$1"; then
+    echo "net_smoke: $(basename "$1") reported error frames or transport errors" >&2
+    cat "$1" >&2
+    exit 1
+  fi
+}
+
 # Closed-loop and open-loop runs; mscm_loadgen exits non-zero when nothing
 # completed, which fails the script via set -e.
 "${LOADGEN}" --port "${PORT}" --mode closed --connections 2 --duration-s 1.5 \
   --sites 2 --json "${WORKDIR}/closed.json"
+expect_no_errors "${WORKDIR}/closed.json"
+# Frames of 512 items, eight times the benchmark's: each is priced in one
+# pass on the IO loop that read it.
+"${LOADGEN}" --port "${PORT}" --mode closed --connections 4 --duration-s 1.5 \
+  --sites 2 --batch 512 --json "${WORKDIR}/closed_batch512.json"
+expect_no_errors "${WORKDIR}/closed_batch512.json"
 "${LOADGEN}" --port "${PORT}" --mode open --rate 500 --connections 2 \
   --duration-s 1.5 --sites 2 --batch 8 --stats
 

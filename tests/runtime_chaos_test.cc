@@ -86,7 +86,6 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   sim::FaultInjector injector(fault_config);
 
   EstimationServiceConfig config;
-  config.worker_threads = 2;
   config.probe_ttl = seconds(60);
   config.probe_interval = milliseconds(1);
   config.probe_timeout = milliseconds(20);  // << hang duration: hangs abandon
@@ -127,6 +126,7 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   refresh_config.initial_backoff = milliseconds(1);
   refresh_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;
   refresh_config.rederive.build.sample_size = 30;
+  refresh_config.worker_threads = 2;
   ModelRefreshDaemon daemon(&service, refresh_config);
   daemon.Watch("alpha", kCls, &faulty_alpha);
   daemon.Watch("beta", kCls, &faulty_beta);

@@ -279,9 +279,7 @@ TEST(ModelRefreshTest, UnwatchedAndUnpriceableReportsAreIgnored) {
 // pool, readers see either the old model (2x) or a re-derived one (~6x) —
 // never an error, never a mix. Run under MSCM_SANITIZE=thread.
 TEST(ModelRefreshTest, ConcurrentReportsEstimatesAndRefreshesAreSafe) {
-  EstimationServiceConfig service_config;
-  service_config.worker_threads = 2;  // refreshes run on background workers
-  EstimationService service(service_config);
+  EstimationService service;
   service.RegisterModel("a", test::PiecewiseLinearModel(kCls, {2.0}));
   service.RegisterSite("a", [] { return 0.5; });
   ASSERT_TRUE(service.ProbeNow("a"));
@@ -292,6 +290,7 @@ TEST(ModelRefreshTest, ConcurrentReportsEstimatesAndRefreshesAreSafe) {
   config.drift_window = 16;
   config.refresh_cooldown = milliseconds(1);  // allow repeated refreshes
   config.rederive.build.sample_size = 30;
+  config.worker_threads = 2;  // refreshes run on background workers
   ModelRefreshDaemon daemon(&service, config);
   daemon.Watch("a", kCls, &source);
 

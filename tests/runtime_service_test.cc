@@ -143,13 +143,11 @@ void ExpectSameResponse(const EstimateResponse& a, const EstimateResponse& b,
   EXPECT_EQ(a.model_generation, b.model_generation) << i;
 }
 
-// Singles, one fanned-out batch and a placement over the same requests give
-// the same answers and move the same counters: every status, a stale-flagged
-// key and a degraded site included.
+// Singles, one batch and a placement over the same requests give the same
+// answers and move the same counters: every status, a stale-flagged key and
+// a degraded site included.
 TEST(EstimationServiceTest, BatchMatchesSingleRequests) {
   EstimationServiceConfig config;
-  config.worker_threads = 2;
-  config.batch_grain = 16;
   config.probe_ttl = std::chrono::hours(1);
   config.breaker.failure_threshold = 1;
   config.breaker.open_duration = std::chrono::hours(1);

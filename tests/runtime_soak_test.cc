@@ -140,7 +140,6 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
 
   EstimationServiceConfig config;
   config.cache.capacity_per_thread = 512;
-  config.worker_threads = 2;
   config.breaker.failure_threshold = 3;
   config.breaker.open_duration = milliseconds(100);
   config.breaker.half_open_successes = 1;
@@ -152,6 +151,7 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
   refresh_config.refresh_cooldown = milliseconds(200);
   refresh_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;
   refresh_config.rederive.build.sample_size = 24;
+  refresh_config.worker_threads = 2;
   ModelRefreshDaemon daemon(&service, refresh_config);
 
   AdaptationConfig adapt_config;

@@ -47,7 +47,6 @@ TEST(RuntimeStressTest, ConcurrentWritersReadersAndProber) {
   // in-flight-swap paths all at once.
   config.probe_ttl = std::chrono::microseconds(500);
   config.probe_interval = std::chrono::milliseconds(1);
-  config.worker_threads = 0;  // readers are the concurrency under test
   EstimationService service(config);
 
   const std::vector<std::string> sites = {"alpha", "beta"};

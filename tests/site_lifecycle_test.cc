@@ -293,9 +293,7 @@ class GatedSource : public core::ObservationSource {
 };
 
 TEST(SiteLifecycleTest, InFlightRefreshAbandonsInsteadOfResurrecting) {
-  EstimationServiceConfig config;
-  config.worker_threads = 1;  // the refresh truly runs in the background
-  EstimationService service(config);
+  EstimationService service;
   service.RegisterModel("a", test::PiecewiseLinearModel(kCls, {2.0}));
   service.RegisterSite("a", [] { return 0.5; });
   ASSERT_TRUE(service.ProbeNow("a"));
@@ -303,6 +301,7 @@ TEST(SiteLifecycleTest, InFlightRefreshAbandonsInsteadOfResurrecting) {
   ModelRefreshConfig refresh_config;
   refresh_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;
   refresh_config.rederive.build.sample_size = 20;
+  refresh_config.worker_threads = 1;  // the refresh runs in the background
   GatedSource source;
   {
     ModelRefreshDaemon daemon(&service, refresh_config);

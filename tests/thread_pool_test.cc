@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdint>
-#include <vector>
 
 namespace mscm::runtime {
 namespace {
@@ -15,82 +13,6 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   int ran = 0;
   pool.Submit([&] { ++ran; });
   EXPECT_EQ(ran, 1);  // inline: visible immediately, same thread
-}
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  for (int workers : {0, 1, 4}) {
-    ThreadPool pool(workers);
-    constexpr size_t kN = 1000;
-    std::vector<std::atomic<int>> hits(kN);
-    pool.ParallelFor(kN, 8, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << ", workers " << workers;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForRespectsGrain) {
-  ThreadPool pool(4);
-  // n below the grain → exactly one chunk [0, n).
-  std::atomic<int> chunks{0};
-  pool.ParallelFor(3, 64, [&](size_t begin, size_t end) {
-    chunks.fetch_add(1);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 3u);
-  });
-  EXPECT_EQ(chunks.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(0, 1, [&](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-// Regression (use-after-free): ParallelFor's completion state used to live
-// on the caller's stack. A worker's final fetch_sub could release the
-// waiting caller — which returned and destroyed the mutex/cv — before the
-// worker acquired that mutex to notify, a use-after-free on the caller's
-// dead frame. The fix moves the completion state to the heap, shared by
-// every chunk's task. The window is between one fetch_sub and one mutex
-// lock, so single-shot calls rarely trip it; back-to-back calls reusing the
-// same stack address trip it reliably under TSan/ASan on the old code.
-TEST(ThreadPoolTest, ParallelForChurnDoesNotRaceCompletion) {
-  ThreadPool pool(3);
-  std::atomic<uint64_t> sum{0};
-  constexpr int kCalls = 2000;
-  constexpr size_t kN = 64;
-  for (int call = 0; call < kCalls; ++call) {
-    // Grain 8 over 64 items on 3 workers → 4 chunks, 3 of them submitted.
-    pool.ParallelFor(kN, 8, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        sum.fetch_add(i + 1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Every index of every call covered exactly once.
-  EXPECT_EQ(sum.load(), static_cast<uint64_t>(kCalls) * (kN * (kN + 1) / 2));
-}
-
-// Same race, crossed with pool construction/destruction churn: the final
-// notify of the last ParallelFor must complete before the pool's join, even
-// when the pool dies immediately after the call returns.
-TEST(ThreadPoolTest, PoolChurnWithParallelForShutsDownCleanly) {
-  std::atomic<uint64_t> covered{0};
-  for (int round = 0; round < 60; ++round) {
-    ThreadPool pool(2);
-    for (int call = 0; call < 5; ++call) {
-      pool.ParallelFor(48, 8, [&](size_t begin, size_t end) {
-        covered.fetch_add(end - begin, std::memory_order_relaxed);
-      });
-    }
-  }  // pool destructor joins while the last completion may still be in flight
-  EXPECT_EQ(covered.load(), 60u * 5u * 48u);
 }
 
 TEST(ThreadPoolTest, SubmittedTasksAllRunBeforeDestruction) {
