@@ -6,6 +6,10 @@
 // sizes, result sizes) are ground truth, not estimates. Work counters are
 // analytic where a faithful loop would be pointlessly quadratic (e.g. block
 // nested loop compare counts).
+//
+// Predicates run a column at a time over selection vectors of row ids
+// (engine/predicate.h). The executor keeps no state between calls: every
+// buffer is per call, so concurrent calls on one const Executor are safe.
 
 #ifndef MSCM_ENGINE_EXECUTOR_H_
 #define MSCM_ENGINE_EXECUTOR_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace mscm::engine {
 
@@ -12,37 +13,34 @@ Index::Index(const Table& table, size_t col, bool clustered)
     MSCM_CHECK_MSG(table.sorted_by() == static_cast<int>(col),
                    "clustered index requires physically sorted table");
   }
-  entries_.reserve(table.num_rows());
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    entries_.emplace_back(table.row(i)[col], i);
+  const std::vector<int64_t>& values = table.column(col);
+  std::vector<std::pair<int64_t, RowId>> entries(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    entries[i] = {values[i], static_cast<RowId>(i)};
   }
-  std::sort(entries_.begin(), entries_.end());
+  std::sort(entries.begin(), entries.end());
+  keys_.reserve(entries.size());
+  row_ids_.reserve(entries.size());
+  for (const auto& [key, id] : entries) {
+    keys_.push_back(key);
+    row_ids_.push_back(id);
+  }
 }
 
-std::vector<size_t> Index::Lookup(int64_t lo, int64_t hi) const {
-  std::vector<size_t> out;
-  auto first = std::lower_bound(
-      entries_.begin(), entries_.end(), std::make_pair(lo, size_t{0}));
-  for (auto it = first; it != entries_.end() && it->first <= hi; ++it) {
-    out.push_back(it->second);
-  }
-  return out;
-}
-
-size_t Index::CountRange(int64_t lo, int64_t hi) const {
-  auto first = std::lower_bound(
-      entries_.begin(), entries_.end(), std::make_pair(lo, size_t{0}));
-  auto last = std::upper_bound(
-      entries_.begin(), entries_.end(),
-      std::make_pair(hi, std::numeric_limits<size_t>::max()));
-  return static_cast<size_t>(last - first);
+std::span<const RowId> Index::Lookup(int64_t lo, int64_t hi) const {
+  if (lo > hi) return {};
+  const auto first = std::lower_bound(keys_.begin(), keys_.end(), lo);
+  const auto last = std::upper_bound(first, keys_.end(), hi);
+  return std::span<const RowId>(row_ids_).subspan(
+      static_cast<size_t>(first - keys_.begin()),
+      static_cast<size_t>(last - first));
 }
 
 int Index::TreeHeight() const {
-  if (entries_.empty()) return 1;
+  if (keys_.empty()) return 1;
   constexpr double kFanout = 256.0;
   const double h =
-      std::ceil(std::log(static_cast<double>(entries_.size())) /
+      std::ceil(std::log(static_cast<double>(keys_.size())) /
                 std::log(kFanout));
   return std::max(1, static_cast<int>(h));
 }

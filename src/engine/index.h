@@ -11,8 +11,7 @@
 #define MSCM_ENGINE_INDEX_H_
 
 #include <cstdint>
-#include <string>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "engine/table.h"
@@ -29,23 +28,27 @@ class Index {
   size_t column() const { return column_; }
   bool clustered() const { return clustered_; }
 
-  // Row ids whose key falls in [lo, hi], in key order.
-  std::vector<size_t> Lookup(int64_t lo, int64_t hi) const;
+  // Row ids whose key falls in [lo, hi], in key order (empty when lo > hi).
+  // The view lives as long as the index.
+  std::span<const RowId> Lookup(int64_t lo, int64_t hi) const;
 
   // Number of entries with key in [lo, hi] without materializing them.
-  size_t CountRange(int64_t lo, int64_t hi) const;
+  size_t CountRange(int64_t lo, int64_t hi) const {
+    return Lookup(lo, hi).size();
+  }
 
   // Approximate B+-tree height for the directory (fan-out 256); contributes
   // to per-query initialization work.
   int TreeHeight() const;
 
-  size_t num_entries() const { return entries_.size(); }
+  size_t num_entries() const { return keys_.size(); }
 
  private:
   size_t column_;
   bool clustered_;
-  // Sorted by key, then row id.
-  std::vector<std::pair<int64_t, size_t>> entries_;
+  // Entries sorted by key, then row id: entry i is (keys_[i], row_ids_[i]).
+  std::vector<int64_t> keys_;
+  std::vector<RowId> row_ids_;
 };
 
 }  // namespace mscm::engine

@@ -1,9 +1,26 @@
 #include "engine/table.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <limits>
+#include <utility>
 
 namespace mscm::engine {
+
+Table::Table(std::string name, Schema schema)
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      columns_(schema_.num_columns()) {}
+
+void Table::AddRow(const Row& row) {
+  MSCM_DCHECK(row.size() == columns_.size());
+  MSCM_CHECK(num_rows_ < std::numeric_limits<RowId>::max());
+  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(row[c]);
+  ++num_rows_;
+}
+
+void Table::Reserve(size_t n) {
+  for (std::vector<int64_t>& column : columns_) column.reserve(n);
+}
 
 size_t Table::RowsPerPage() const {
   const int tuple_bytes = schema_.TupleBytes();
@@ -13,32 +30,39 @@ size_t Table::RowsPerPage() const {
 }
 
 size_t Table::NumPages() const {
-  if (rows_.empty()) return 0;
+  if (num_rows_ == 0) return 0;
   const size_t per_page = RowsPerPage();
-  return (rows_.size() + per_page - 1) / per_page;
+  return (num_rows_ + per_page - 1) / per_page;
 }
 
 void Table::RecomputeStats() {
-  stats_.assign(schema_.num_columns(), ColumnStats{});
-  if (rows_.empty()) return;
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+  stats_.assign(columns_.size(), ColumnStats{});
+  if (num_rows_ == 0) return;
+  std::vector<int64_t> sorted;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    sorted = columns_[c];
+    std::sort(sorted.begin(), sorted.end());
     ColumnStats& s = stats_[c];
-    s.min = rows_[0][c];
-    s.max = rows_[0][c];
-    std::unordered_set<int64_t> distinct;
-    for (const Row& r : rows_) {
-      s.min = std::min(s.min, r[c]);
-      s.max = std::max(s.max, r[c]);
-      distinct.insert(r[c]);
-    }
-    s.distinct = static_cast<int64_t>(distinct.size());
+    s.min = sorted.front();
+    s.max = sorted.back();
+    s.distinct = std::unique(sorted.begin(), sorted.end()) - sorted.begin();
   }
 }
 
 void Table::SortByColumn(size_t col) {
-  MSCM_CHECK(col < schema_.num_columns());
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [col](const Row& a, const Row& b) { return a[col] < b[col]; });
+  MSCM_CHECK(col < columns_.size());
+  // Sorting (key, row id) pairs orders equal keys by their old position,
+  // which is the order a stable sort of the rows gives.
+  std::vector<std::pair<int64_t, RowId>> order(num_rows_);
+  for (size_t i = 0; i < num_rows_; ++i) {
+    order[i] = {columns_[col][i], static_cast<RowId>(i)};
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<int64_t> permuted(num_rows_);
+  for (std::vector<int64_t>& column : columns_) {
+    for (size_t i = 0; i < num_rows_; ++i) permuted[i] = column[order[i].second];
+    column.swap(permuted);
+  }
   sorted_by_ = static_cast<int>(col);
 }
 

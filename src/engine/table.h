@@ -1,9 +1,12 @@
-// In-memory heap table with page-layout accounting.
+// In-memory column-store heap table with page-layout accounting.
 //
-// The engine never touches a real disk; instead every table knows how many
-// fixed-size pages its rows occupy, and the executor counts sequential and
-// random page accesses. The cost simulator (src/sim) later converts those
-// counts into elapsed time under the current contention level.
+// Each column is one contiguous vector of values, so a scan reads only the
+// columns its predicate names, in order. The page accounting is that of a
+// row-major heap file: the engine never touches a real disk; instead every
+// table knows how many fixed-size pages its rows would occupy, and the
+// executor counts sequential and random page accesses. The cost simulator
+// (src/sim) later converts those counts into elapsed time under the current
+// contention level.
 
 #ifndef MSCM_ENGINE_TABLE_H_
 #define MSCM_ENGINE_TABLE_H_
@@ -19,6 +22,9 @@ namespace mscm::engine {
 // Disk page size assumed by the layout accounting.
 inline constexpr int kPageBytes = 8192;
 
+// Position of a row in its table; tables hold fewer than 2^32 rows.
+using RowId = uint32_t;
+
 struct ColumnStats {
   int64_t min = 0;
   int64_t max = 0;
@@ -28,24 +34,25 @@ struct ColumnStats {
 
 class Table {
  public:
-  Table(std::string name, Schema schema)
-      : name_(std::move(name)), schema_(std::move(schema)) {}
+  Table(std::string name, Schema schema);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  void AddRow(Row row) {
-    MSCM_DCHECK(row.size() == schema_.num_columns());
-    rows_.push_back(std::move(row));
-  }
-  void Reserve(size_t n) { rows_.reserve(n); }
+  // Appends one row, given as one value per schema column.
+  void AddRow(const Row& row);
+  void Reserve(size_t n);
 
-  size_t num_rows() const { return rows_.size(); }
-  const Row& row(size_t i) const {
-    MSCM_DCHECK(i < rows_.size());
-    return rows_[i];
+  size_t num_rows() const { return num_rows_; }
+  int64_t value(size_t row, size_t col) const {
+    MSCM_DCHECK(row < num_rows_);
+    return column(col)[row];
   }
-  const std::vector<Row>& rows() const { return rows_; }
+  // Every value of column `col`, indexed by row id.
+  const std::vector<int64_t>& column(size_t col) const {
+    MSCM_DCHECK(col < columns_.size());
+    return columns_[col];
+  }
 
   // Rows that fit one page given the declared tuple width (at least 1).
   size_t RowsPerPage() const;
@@ -65,7 +72,8 @@ class Table {
   }
   bool has_stats() const { return !stats_.empty(); }
 
-  // Physically sorts the rows by `col` (used to build a clustered index).
+  // Physically sorts the rows by `col`, stably (used to build a clustered
+  // index).
   void SortByColumn(size_t col);
 
   // Column the rows are physically sorted by, or -1.
@@ -74,7 +82,8 @@ class Table {
  private:
   std::string name_;
   Schema schema_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<int64_t>> columns_;
+  size_t num_rows_ = 0;
   std::vector<ColumnStats> stats_;
   int sorted_by_ = -1;
 };

@@ -70,13 +70,13 @@ Database GenerateDatabase(const TableGeneratorConfig& config, Rng& rng) {
       }
     }
 
+    Row row(static_cast<size_t>(num_cols));
     for (size_t r = 0; r < rows; ++r) {
-      Row row(static_cast<size_t>(num_cols));
       for (int c = 0; c < num_cols; ++c) {
         row[static_cast<size_t>(c)] =
             rng.UniformInt(0, ranges[static_cast<size_t>(c)] - 1);
       }
-      table.AddRow(std::move(row));
+      table.AddRow(row);
     }
     db.AddTable(std::move(table));
 

@@ -29,7 +29,8 @@ TEST(DatabaseTest, CreateClusteredIndexSortsTable) {
   db.AddTable(std::move(t));
   db.CreateIndex("T", 0, /*clustered=*/true);
   const Table* sorted = db.FindTable("T");
-  EXPECT_EQ(sorted->row(0)[0], 1);
+  EXPECT_EQ(sorted->value(0, 0), 1);
+  EXPECT_EQ(sorted->value(0, 1), 1);
   EXPECT_EQ(sorted->sorted_by(), 0);
   EXPECT_NE(db.ClusteredIndexOn("T"), nullptr);
 }

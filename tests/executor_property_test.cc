@@ -3,10 +3,14 @@
 // reference semantics, and the work counters must satisfy basic sanity
 // invariants.
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/sampling.h"
 #include "engine/executor.h"
+#include "sim/performance_profile.h"
 #include "tests/test_util.h"
 
 namespace mscm::engine {
@@ -96,6 +100,74 @@ TEST_P(ExecutorPropertyTest, WorkCounterInvariants) {
     EXPECT_GT(work.tuples_read + work.random_pages + work.sequential_pages,
               0.0);
   }
+}
+
+// FNV-1a over the eight bytes of `v`, least significant first.
+uint64_t Fold(uint64_t digest, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (v >> (8 * i)) & 0xffu;
+    digest *= 0x100000001b3ull;
+  }
+  return digest;
+}
+
+uint64_t Fold(uint64_t digest, const WorkCounters& w) {
+  for (double field : {w.sequential_pages, w.random_pages, w.tuples_read,
+                       w.predicate_evals, w.compare_ops, w.hash_ops,
+                       w.result_tuples, w.result_bytes, w.init_ops}) {
+    digest = Fold(digest, std::bit_cast<uint64_t>(field));
+  }
+  return digest;
+}
+
+// Pins the engine's outputs bit for bit: every count and every work counter
+// of 500 sampled queries, each run with the plan alpha's and beta's planners
+// choose, folds into one digest. The literal was computed on the row-store
+// engine, so a storage or scan change that alters any sampled observation
+// fails here.
+TEST(ExecutorDigestTest, SampledExecutionsMatchPinnedDigest) {
+  const Database db = test::TinyDatabase(/*seed=*/17, /*num_tables=*/12,
+                                         /*scale=*/0.05);
+  const Executor executor(&db);
+  const PlannerRules planners[] = {sim::PerformanceProfile::Alpha().planner,
+                                   sim::PerformanceProfile::Beta().planner};
+  uint64_t digest = 0xcbf29ce484222325ull;
+  uint64_t seed = 100;
+  for (QueryClassId cls :
+       {QueryClassId::kUnarySeqScan, QueryClassId::kUnaryNonClusteredIndex,
+        QueryClassId::kUnaryClusteredIndex, QueryClassId::kJoinNoIndex,
+        QueryClassId::kJoinIndex}) {
+    core::QuerySampler sampler(&db, planners[0], ++seed);
+    for (int i = 0; i < 100; ++i) {
+      if (core::IsJoinClass(cls)) {
+        const JoinQuery q = sampler.SampleJoin(cls);
+        const size_t naive = executor.NaiveJoinCount(q);
+        for (const PlannerRules& rules : planners) {
+          const JoinPlan plan = ChooseJoinPlan(db, q, rules);
+          const JoinExecution exec = executor.ExecuteJoin(q, plan);
+          ASSERT_EQ(exec.result_rows, naive) << core::Label(cls) << " #" << i;
+          digest = Fold(digest, static_cast<uint64_t>(plan.method));
+          digest = Fold(digest, exec.result_rows);
+          digest = Fold(digest, exec.left_qualified);
+          digest = Fold(digest, exec.right_qualified);
+          digest = Fold(digest, exec.work);
+        }
+      } else {
+        const SelectQuery q = sampler.SampleSelect(cls);
+        const size_t naive = executor.NaiveSelectCount(q);
+        for (const PlannerRules& rules : planners) {
+          const SelectPlan plan = ChooseSelectPlan(db, q, rules);
+          const SelectExecution exec = executor.ExecuteSelect(q, plan);
+          ASSERT_EQ(exec.result_rows, naive) << core::Label(cls) << " #" << i;
+          digest = Fold(digest, static_cast<uint64_t>(plan.method));
+          digest = Fold(digest, exec.result_rows);
+          digest = Fold(digest, exec.intermediate_rows);
+          digest = Fold(digest, exec.work);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, 0x869d13ac55d48a85ull) << std::hex << digest;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,6 +1,8 @@
 #include "engine/executor.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -85,7 +87,9 @@ TEST_F(ExecutorTest, NonClusteredScanResultMatchesNaiveCount) {
   std::unordered_set<size_t> pages;
   const auto& idx_cond = q.predicate.conditions()[0];
   for (size_t i = 0; i < t->num_rows(); ++i) {
-    if (idx_cond.Matches(t->row(i))) pages.insert(t->PageOfRow(i));
+    if (idx_cond.Matches(t->value(i, static_cast<size_t>(idx_cond.column)))) {
+      pages.insert(t->PageOfRow(i));
+    }
   }
   EXPECT_DOUBLE_EQ(exec.work.random_pages,
                    static_cast<double>(pages.size()));
@@ -164,8 +168,8 @@ TEST_F(ExecutorTest, JoinQualifiedCountsAreFilterCounts) {
   const JoinExecution exec =
       executor_->ExecuteJoin(q, JoinPlan{JoinMethod::kHashJoin, 0});
   size_t expected_left = 0;
-  for (const Row& row : l->rows()) {
-    if (q.left_predicate.Matches(row)) ++expected_left;
+  for (size_t row = 0; row < l->num_rows(); ++row) {
+    if (q.left_predicate.Matches(*l, row)) ++expected_left;
   }
   EXPECT_EQ(exec.left_qualified, expected_left);
   EXPECT_EQ(exec.right_qualified, db_->FindTable("R2")->num_rows());
@@ -210,6 +214,46 @@ TEST_F(ExecutorTest, EmptyResultJoin) {
       executor_->ExecuteJoin(q, JoinPlan{JoinMethod::kHashJoin, 0});
   EXPECT_EQ(exec.result_rows, 0u);
   EXPECT_EQ(exec.left_qualified, 0u);
+}
+
+// Conditions no value satisfies — x < INT64_MIN, x > INT64_MAX and an
+// inverted between — select nothing on every access path, as the naive
+// count says, and estimate to selectivity 0. Their ranges are where
+// computing lo - 1 or lo + 1 would overflow.
+TEST(ExecutorEmptyRangeTest, UnsatisfiableConditionsSelectNothing) {
+  Database db;
+  db.AddTable(test::SequentialTable("T", 100));
+  db.CreateIndex("T", 0, /*clustered=*/true);
+  db.CreateIndex("T", 1, /*clustered=*/false);
+  const Table* t = db.FindTable("T");
+  const Executor executor(&db);
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int col : {0, 1}) {
+    const AccessMethod index_method = col == 0
+                                          ? AccessMethod::kClusteredIndexScan
+                                          : AccessMethod::kNonClusteredIndexScan;
+    for (const Condition& cond : {Condition{col, CompareOp::kLt, kMin, 0},
+                                  Condition{col, CompareOp::kGt, kMax, 0},
+                                  Condition{col, CompareOp::kBetween, 7, 3}}) {
+      SCOPED_TRACE(cond.ToString(t->schema()));
+      SelectQuery q;
+      q.table = "T";
+      q.predicate.Add(cond);
+      EXPECT_EQ(executor.NaiveSelectCount(q), 0u);
+      EXPECT_EQ(EstimateConditionSelectivity(*t, cond), 0.0);
+      const SelectExecution seq = executor.ExecuteSelect(
+          q, SelectPlan{AccessMethod::kSequentialScan, -1});
+      EXPECT_EQ(seq.result_rows, 0u);
+      const SelectExecution index =
+          executor.ExecuteSelect(q, SelectPlan{index_method, 0});
+      EXPECT_EQ(index.intermediate_rows, 0u);
+      EXPECT_EQ(index.result_rows, 0u);
+      const SelectExecution planned =
+          executor.ExecuteSelect(q, ChooseSelectPlan(db, q, PlannerRules{}));
+      EXPECT_EQ(planned.result_rows, 0u);
+    }
+  }
 }
 
 }  // namespace

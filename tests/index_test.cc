@@ -13,7 +13,7 @@ TEST(IndexTest, LookupReturnsMatchingRows) {
   const auto rows = idx.Lookup(10, 14);
   ASSERT_EQ(rows.size(), 5u);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(t.row(rows[i])[0], static_cast<int64_t>(10 + i));
+    EXPECT_EQ(t.value(rows[i], 0), static_cast<int64_t>(10 + i));
   }
 }
 

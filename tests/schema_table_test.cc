@@ -1,5 +1,9 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "engine/schema.h"
 #include "engine/table.h"
 #include "tests/test_util.h"
@@ -22,7 +26,8 @@ TEST(SchemaTest, TupleBytesSumsWidths) {
 TEST(TableTest, AddAndAccessRows) {
   Table t = test::SequentialTable("T", 5);
   EXPECT_EQ(t.num_rows(), 5u);
-  EXPECT_EQ(t.row(3)[0], 3);
+  EXPECT_EQ(t.value(3, 0), 3);
+  EXPECT_EQ(t.value(3, 1), 3);
 }
 
 TEST(TableTest, RowsPerPageFromTupleWidth) {
@@ -65,8 +70,8 @@ TEST(TableTest, SortByColumnSetsSortedBy) {
   EXPECT_EQ(t.sorted_by(), -1);
   t.SortByColumn(0);
   EXPECT_EQ(t.sorted_by(), 0);
-  EXPECT_EQ(t.row(0)[0], 1);
-  EXPECT_EQ(t.row(2)[0], 5);
+  EXPECT_EQ(t.value(0, 0), 1);
+  EXPECT_EQ(t.value(2, 0), 5);
 }
 
 TEST(TableTest, SortIsStable) {
@@ -75,8 +80,23 @@ TEST(TableTest, SortIsStable) {
   t.AddRow({0, 200});
   t.AddRow({1, 300});
   t.SortByColumn(0);
-  EXPECT_EQ(t.row(1)[1], 100);
-  EXPECT_EQ(t.row(2)[1], 300);
+  EXPECT_EQ(t.value(1, 1), 100);
+  EXPECT_EQ(t.value(2, 1), 300);
+
+  // Every column follows the order a stable sort of whole rows gives.
+  Rng rng(3);
+  Table big("B", Schema({{"k", 8}, {"a", 8}, {"b", 16}}));
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    rows.push_back({rng.UniformInt(0, 49), i, rng.UniformInt(-1000, 1000)});
+    big.AddRow(rows.back());
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& a, const Row& b) { return a[0] < b[0]; });
+  big.SortByColumn(0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t c = 0; c < 3; ++c) ASSERT_EQ(big.value(i, c), rows[i][c]);
+  }
 }
 
 }  // namespace

@@ -107,8 +107,8 @@ TEST(TableGeneratorTest, DeterministicForSameSeed) {
   const Table* ta = a.FindTable("R2");
   const Table* tb = b.FindTable("R2");
   ASSERT_EQ(ta->num_rows(), tb->num_rows());
-  for (size_t i = 0; i < ta->num_rows(); i += 17) {
-    EXPECT_EQ(ta->row(i), tb->row(i));
+  for (size_t c = 0; c < ta->schema().num_columns(); ++c) {
+    EXPECT_EQ(ta->column(c), tb->column(c));
   }
 }
 
