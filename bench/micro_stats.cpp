@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) for the statistical machinery: OLS
 // fits at the sizes the pipeline uses, qualitative design-matrix builds,
-// agglomerative clustering, and distribution evaluations.
+// whole cost-model fits, agglomerative clustering, and distribution
+// evaluations.
 
 #include <benchmark/benchmark.h>
 
 #include "cluster/hierarchical.h"
 #include "common/rng.h"
+#include "core/cost_model.h"
 #include "core/qualitative.h"
 #include "stats/distributions.h"
 #include "stats/ols.h"
@@ -75,6 +77,35 @@ void BM_BuildDesignMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildDesignMatrix);
+
+// The fit `derive` runs on every trial of variable selection and state
+// determination: n = 430 observations, 4 selected variables. The general
+// form fits one block per state; the parallel form shares its slope
+// columns, so it is solved as one dense block.
+void BM_FitCostModel(benchmark::State& state) {
+  const int num_states = static_cast<int>(state.range(0));
+  const auto form = static_cast<core::QualitativeForm>(state.range(1));
+  Rng rng(5);
+  core::ObservationSet obs(430);
+  for (auto& o : obs) {
+    o.probing_cost = rng.NextDouble();
+    o.features = {rng.Uniform(0, 100), rng.Uniform(0, 100),
+                  rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    o.cost = rng.Uniform(0, 10);
+  }
+  const core::ContentionStates states =
+      core::ContentionStates::UniformPartition(0.0, 1.0, num_states);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::FitCostModel(
+        core::QueryClassId::kUnarySeqScan, obs, {0, 1, 2, 3}, states, form));
+  }
+}
+BENCHMARK(BM_FitCostModel)
+    ->ArgNames({"states", "form"})
+    ->Args({1, static_cast<int>(core::QualitativeForm::kGeneral)})
+    ->Args({6, static_cast<int>(core::QualitativeForm::kGeneral)})
+    ->Args({8, static_cast<int>(core::QualitativeForm::kGeneral)})
+    ->Args({6, static_cast<int>(core::QualitativeForm::kParallel)});
 
 void BM_FSurvival(benchmark::State& state) {
   double f = 0.1;

@@ -4,6 +4,7 @@
 
 #include "common/str_util.h"
 #include "stats/distributions.h"
+#include "stats/linalg.h"
 
 namespace mscm::core {
 
@@ -160,16 +161,85 @@ std::optional<CostModel> CostModel::ApplyFeedback(
   return WithAdaptation(std::move(next));
 }
 
+namespace {
+
+// The general form's fit, one least-squares block per contention state.
+// State s's rows touch only its own intercept and slope columns, so X is
+// block diagonal: each state is its own regression, and the states share
+// only the pooled SSE (hence one SEE, R^2 and F).
+stats::OlsResult FitGeneralForm(const ObservationSet& observations,
+                                const std::vector<int>& selected,
+                                const ContentionStates& states,
+                                const DesignLayout& layout) {
+  size_t min_features = 0;
+  for (int idx : selected) {
+    MSCM_CHECK(idx >= 0);
+    min_features = std::max(min_features, static_cast<size_t>(idx) + 1);
+  }
+  const size_t num_states = static_cast<size_t>(states.num_states());
+  std::vector<std::vector<size_t>> rows(num_states);
+  for (size_t r = 0; r < observations.size(); ++r) {
+    MSCM_CHECK(observations[r].features.size() >= min_features);
+    rows[static_cast<size_t>(states.StateOf(observations[r].probing_cost))]
+        .push_back(r);
+  }
+
+  // Block s is [1, selected features...] over state s's rows, in
+  // observation order; its columns are the layout's (intercept, slopes) for
+  // s, which the general layout numbers in increasing order.
+  std::vector<stats::LeastSquaresBlock> blocks(num_states);
+  for (size_t s = 0; s < num_states; ++s) {
+    stats::LeastSquaresBlock& block = blocks[s];
+    block.x = stats::Matrix(rows[s].size(), selected.size() + 1);
+    block.y.resize(rows[s].size());
+    for (size_t i = 0; i < rows[s].size(); ++i) {
+      const Observation& obs = observations[rows[s][i]];
+      block.x(i, 0) = 1.0;
+      for (size_t j = 0; j < selected.size(); ++j) {
+        block.x(i, j + 1) = obs.features[static_cast<size_t>(selected[j])];
+      }
+      block.y[i] = obs.cost;
+    }
+    for (int v = -1; v < static_cast<int>(selected.size()); ++v) {
+      block.columns.push_back(
+          static_cast<size_t>(layout.ColumnOf(v, static_cast<int>(s))));
+    }
+  }
+  stats::LeastSquaresResult ls =
+      stats::SolveLeastSquares(blocks, layout.num_columns());
+
+  // A row's fitted value sums its state's terms in layout order, as the
+  // dense X beta does; the other states' columns would add exact zeros.
+  std::vector<double> fitted(observations.size());
+  for (size_t s = 0; s < num_states; ++s) {
+    const stats::LeastSquaresBlock& block = blocks[s];
+    for (size_t i = 0; i < rows[s].size(); ++i) {
+      double acc = 0.0;
+      for (size_t j = 0; j < block.columns.size(); ++j) {
+        acc += block.x(i, j) * ls.coefficients[block.columns[j]];
+      }
+      fitted[rows[s][i]] = acc;
+    }
+  }
+  return stats::SummarizeFit(std::move(ls), ResponseVector(observations),
+                             std::move(fitted));
+}
+
+}  // namespace
+
 CostModel FitCostModel(QueryClassId class_id,
                        const ObservationSet& observations,
                        const std::vector<int>& selected,
                        const ContentionStates& states, QualitativeForm form) {
   const DesignLayout layout = DesignLayout::Make(
       static_cast<int>(selected.size()), form, states.num_states());
-  const stats::Matrix x =
-      BuildDesignMatrix(observations, selected, states, layout);
-  const std::vector<double> y = ResponseVector(observations);
-  stats::OlsResult fit = stats::FitOls(x, y);
+  // The shared-column forms keep the dense design, solved as one block.
+  stats::OlsResult fit =
+      form == QualitativeForm::kGeneral
+          ? FitGeneralForm(observations, selected, states, layout)
+          : stats::FitOls(
+                BuildDesignMatrix(observations, selected, states, layout),
+                ResponseVector(observations));
   return CostModel(class_id, selected, states, layout, std::move(fit));
 }
 

@@ -26,7 +26,7 @@ struct Column {
 class Schema {
  public:
   Schema() = default;
-  explicit Schema(std::vector<Column> columns) : columns_(std::move(columns)) {}
+  explicit Schema(std::vector<Column> columns);
 
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const {
@@ -39,10 +39,11 @@ class Schema {
   int ColumnIndex(const std::string& name) const;
 
   // Total declared tuple width in bytes.
-  int TupleBytes() const;
+  int TupleBytes() const { return tuple_bytes_; }
 
  private:
   std::vector<Column> columns_;
+  int tuple_bytes_ = 0;  // summed once: a schema has no mutator
 };
 
 // A tuple is one value per schema column.

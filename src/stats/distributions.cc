@@ -42,6 +42,8 @@ double StudentTUpperQuantile(double alpha, double df) {
   }
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
+    // lo and hi are adjacent doubles (or equal): no later step can move mid.
+    if (mid == lo || mid == hi) return mid;
     if (1.0 - StudentTCdf(mid, df) > alpha) {
       lo = mid;
     } else {
@@ -62,6 +64,7 @@ double FUpperQuantile(double alpha, double d1, double d2) {
   }
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) return mid;
     if (FSurvival(mid, d1, d2) > alpha) {
       lo = mid;
     } else {

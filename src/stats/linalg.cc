@@ -1,17 +1,18 @@
 #include "stats/linalg.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 namespace mscm::stats {
 namespace {
 
 // Householder QR in-place on a copy of X augmented with y.
 // After factorization, the upper triangle of `a` is R and `rhs` holds Q^T y.
-// Returns per-column pivot magnitudes for rank detection.
+// |R(k,k)| is column k's norm at step k, which the rank check reads.
 struct QrState {
   Matrix r;               // upper-triangular factor (cols x cols)
   std::vector<double> qty;  // first cols entries of Q^T y
-  bool rank_deficient = false;
 };
 
 QrState HouseholderQr(const Matrix& x, const std::vector<double>& y) {
@@ -24,17 +25,12 @@ QrState HouseholderQr(const Matrix& x, const std::vector<double>& y) {
   Matrix a = x;
   std::vector<double> rhs = y;
 
-  double max_diag = 0.0;
-  std::vector<double> diag(n, 0.0);
-
   for (size_t k = 0; k < n; ++k) {
     // Compute the norm of column k below (and including) row k.
     double norm = 0.0;
     for (size_t i = k; i < m; ++i) norm += a(i, k) * a(i, k);
     norm = std::sqrt(norm);
-    diag[k] = norm;
-    max_diag = std::max(max_diag, norm);
-    if (norm == 0.0) continue;  // zero column; handled by rank check below
+    if (norm == 0.0) continue;  // zero column; R(k,k) stays 0 for the rank check
 
     // Householder vector v = x_k + sign(x_kk) * ||x_k|| e_k.
     const double alpha = (a(k, k) >= 0.0) ? -norm : norm;
@@ -66,13 +62,51 @@ QrState HouseholderQr(const Matrix& x, const std::vector<double>& y) {
     for (size_t j = i; j < n; ++j) out.r(i, j) = a(i, j);
   }
   out.qty.assign(rhs.begin(), rhs.begin() + static_cast<long>(n));
-  // Rank check: any diagonal of R tiny relative to the largest column norm.
-  for (size_t k = 0; k < n; ++k) {
-    if (std::fabs(out.r(k, k)) < 1e-10 * std::max(1.0, max_diag)) {
-      out.rank_deficient = true;
+  return out;
+}
+
+// Writes a block's coefficients and (X_b^T X_b)^{-1} into the global slots
+// its columns name.
+void Scatter(const LeastSquaresBlock& block, const std::vector<double>& beta,
+             const Matrix& inverse, LeastSquaresResult* out) {
+  const std::vector<size_t>& cols = block.columns;
+  for (size_t i = 0; i < cols.size(); ++i) {
+    out->coefficients[cols[i]] = beta[i];
+    for (size_t j = 0; j < cols.size(); ++j) {
+      out->xtx_inverse(cols[i], cols[j]) = inverse(i, j);
     }
   }
-  return out;
+}
+
+// Ridge-regularized normal equations, so callers always get usable
+// coefficients (the paper's procedures screen such models out via VIF and
+// merging, but the solver must not crash mid-search). The ridge constant
+// comes from the trace of the whole X^T X, summed in global column order.
+void SolveRidge(const std::vector<LeastSquaresBlock>& blocks, size_t p,
+                LeastSquaresResult* out) {
+  std::vector<Matrix> xtx(blocks.size());
+  std::vector<std::vector<double>> xty(blocks.size());
+  std::vector<double> diagonal(p, 0.0);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const Matrix xt = blocks[b].x.Transpose();
+    xtx[b] = xt * blocks[b].x;
+    xty[b] = xt * blocks[b].y;
+    for (size_t j = 0; j < blocks[b].columns.size(); ++j) {
+      diagonal[blocks[b].columns[j]] = xtx[b](j, j);
+    }
+  }
+  double trace = 0.0;
+  for (size_t i = 0; i < p; ++i) trace += diagonal[i];
+  const double ridge = 1e-8 * std::max(1.0, trace / static_cast<double>(p));
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    Matrix& a = xtx[b];
+    for (size_t j = 0; j < a.rows(); ++j) a(j, j) += ridge;
+    auto beta = CholeskySolve(a, xty[b]);
+    MSCM_CHECK(beta.has_value());
+    auto inv = SpdInverse(a);
+    MSCM_CHECK(inv.has_value());
+    Scatter(blocks[b], *beta, *inv, out);
+  }
 }
 
 }  // namespace
@@ -125,68 +159,100 @@ std::optional<Matrix> SpdInverse(const Matrix& a) {
   return inv;
 }
 
-LeastSquaresResult SolveLeastSquares(const Matrix& x,
-                                     const std::vector<double>& y) {
-  const size_t n = x.cols();
-  QrState qr = HouseholderQr(x, y);
+LeastSquaresResult SolveLeastSquares(
+    const std::vector<LeastSquaresBlock>& blocks, size_t p) {
+  size_t rows = 0;
+  size_t covered = 0;
+  bool short_block = false;
+  std::vector<char> seen(p, 0);
+  for (const LeastSquaresBlock& block : blocks) {
+    MSCM_CHECK(block.x.cols() == block.columns.size() &&
+               block.y.size() == block.x.rows());
+    for (size_t c : block.columns) {
+      MSCM_CHECK_MSG(c < p && seen[c] == 0,
+                     "blocks must partition the design columns");
+      seen[c] = 1;
+    }
+    covered += block.columns.size();
+    rows += block.x.rows();
+    short_block = short_block || block.x.rows() < block.x.cols();
+  }
+  MSCM_CHECK_MSG(covered == p, "blocks must partition the design columns");
+  MSCM_CHECK_MSG(rows >= p && p >= 1, "need at least as many rows as columns");
 
   LeastSquaresResult out;
-  out.rank_deficient = qr.rank_deficient;
+  out.coefficients.assign(p, 0.0);
+  out.xtx_inverse = Matrix(p, p);
 
-  if (qr.rank_deficient) {
-    // Fall back to ridge-regularized normal equations so callers always get
-    // usable coefficients (the paper's procedures screen such models out via
-    // VIF and merging, but the solver must not crash mid-search).
-    Matrix xt = x.Transpose();
-    Matrix xtx = xt * x;
-    double trace = 0.0;
-    for (size_t i = 0; i < n; ++i) trace += xtx(i, i);
-    const double ridge = 1e-8 * std::max(1.0, trace / static_cast<double>(n));
-    for (size_t i = 0; i < n; ++i) xtx(i, i) += ridge;
-    std::vector<double> xty = xt * y;
-    auto beta = CholeskySolve(xtx, xty);
-    MSCM_CHECK(beta.has_value());
-    out.coefficients = *beta;
-    auto inv = SpdInverse(xtx);
-    MSCM_CHECK(inv.has_value());
-    out.xtx_inverse = *inv;
-    out.xtx_inverse_diagonal.resize(n);
-    for (size_t i = 0; i < n; ++i) out.xtx_inverse_diagonal[i] = (*inv)(i, i);
-    return out;
-  }
-
-  // Back-substitute R beta = Q^T y.
-  out.coefficients.assign(n, 0.0);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = qr.qty[ii];
-    for (size_t k = ii + 1; k < n; ++k) sum -= qr.r(ii, k) * out.coefficients[k];
-    out.coefficients[ii] = sum / qr.r(ii, ii);
-  }
-
-  // (X^T X)^{-1} = R^{-1} R^{-T}; compute diagonal via columns of R^{-1}.
-  // Solve R z = e_i for each i; diagonal entry i of (X^T X)^{-1} is
-  // sum over rows of R^{-T} — more directly: row i of R^{-1} dotted with
-  // itself, where R^{-1} rows come from solving R^T w = e_i. We compute
-  // R^{-1} explicitly (n is small).
-  Matrix rinv(n, n);
-  for (size_t c = 0; c < n; ++c) {
-    std::vector<double> e(n, 0.0);
-    e[c] = 1.0;
-    std::vector<double> z(n, 0.0);
-    for (size_t ii = n; ii-- > 0;) {
-      double sum = e[ii];
-      for (size_t k = ii + 1; k < n; ++k) sum -= qr.r(ii, k) * z[k];
-      z[ii] = sum / qr.r(ii, ii);
+  // A block with fewer rows than columns has no QR and no unique solution.
+  std::vector<QrState> qrs;
+  out.rank_deficient = short_block;
+  if (!short_block) {
+    qrs.reserve(blocks.size());
+    double max_diag = 0.0;
+    for (const LeastSquaresBlock& block : blocks) {
+      qrs.push_back(HouseholderQr(block.x, block.y));
+      const Matrix& r = qrs.back().r;
+      for (size_t k = 0; k < r.rows(); ++k) {
+        max_diag = std::max(max_diag, std::fabs(r(k, k)));
+      }
     }
-    for (size_t r = 0; r < n; ++r) rinv(r, c) = z[r];
+    // Rank check: any diagonal of R tiny relative to the largest column norm.
+    for (const QrState& qr : qrs) {
+      for (size_t k = 0; k < qr.r.rows(); ++k) {
+        if (std::fabs(qr.r(k, k)) < 1e-10 * std::max(1.0, max_diag)) {
+          out.rank_deficient = true;
+        }
+      }
+    }
   }
-  // (X^T X)^{-1} = R^{-1} R^{-T}.
-  out.xtx_inverse = rinv * rinv.Transpose();
-  out.xtx_inverse_diagonal.assign(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
+
+  if (out.rank_deficient) {
+    SolveRidge(blocks, p, &out);
+  } else {
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const QrState& qr = qrs[b];
+      const size_t n = qr.r.rows();
+      // Back-substitute R beta = Q^T y.
+      std::vector<double> beta(n, 0.0);
+      for (size_t ii = n; ii-- > 0;) {
+        double sum = qr.qty[ii];
+        for (size_t k = ii + 1; k < n; ++k) sum -= qr.r(ii, k) * beta[k];
+        beta[ii] = sum / qr.r(ii, ii);
+      }
+      // (X^T X)^{-1} = R^{-1} R^{-T}, with R^{-1} solved column by column
+      // (n is small).
+      Matrix rinv(n, n);
+      for (size_t c = 0; c < n; ++c) {
+        std::vector<double> e(n, 0.0);
+        e[c] = 1.0;
+        std::vector<double> z(n, 0.0);
+        for (size_t ii = n; ii-- > 0;) {
+          double sum = e[ii];
+          for (size_t k = ii + 1; k < n; ++k) sum -= qr.r(ii, k) * z[k];
+          z[ii] = sum / qr.r(ii, ii);
+        }
+        for (size_t r = 0; r < n; ++r) rinv(r, c) = z[r];
+      }
+      Scatter(blocks[b], beta, rinv * rinv.Transpose(), &out);
+    }
+  }
+
+  out.xtx_inverse_diagonal.assign(p, 0.0);
+  for (size_t i = 0; i < p; ++i) {
     out.xtx_inverse_diagonal[i] = out.xtx_inverse(i, i);
   }
   return out;
+}
+
+LeastSquaresResult SolveLeastSquares(const Matrix& x,
+                                     const std::vector<double>& y) {
+  std::vector<LeastSquaresBlock> one(1);
+  one[0].x = x;
+  one[0].y = y;
+  one[0].columns.resize(x.cols());
+  std::iota(one[0].columns.begin(), one[0].columns.end(), size_t{0});
+  return SolveLeastSquares(one, x.cols());
 }
 
 }  // namespace mscm::stats

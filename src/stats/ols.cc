@@ -1,10 +1,10 @@
 #include "stats/ols.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "stats/distributions.h"
-#include "stats/linalg.h"
 
 namespace mscm::stats {
 
@@ -28,21 +28,26 @@ double OlsResult::PredictionStandardError(
 }
 
 OlsResult FitOls(const Matrix& x, const std::vector<double>& y) {
-  const size_t n = x.rows();
-  const size_t p = x.cols();
-  MSCM_CHECK(y.size() == n);
-  MSCM_CHECK_MSG(n >= p && p >= 1, "need at least as many rows as columns");
-
   LeastSquaresResult ls = SolveLeastSquares(x, y);
+  std::vector<double> fitted = x * ls.coefficients;
+  return SummarizeFit(std::move(ls), y, std::move(fitted));
+}
+
+OlsResult SummarizeFit(LeastSquaresResult ls, const std::vector<double>& y,
+                       std::vector<double> fitted) {
+  const size_t n = y.size();
+  const size_t p = ls.coefficients.size();
+  MSCM_CHECK(fitted.size() == n);
+  MSCM_CHECK_MSG(n >= p && p >= 1, "need at least as many rows as columns");
 
   OlsResult out;
   out.n = n;
   out.p = p;
   out.rank_deficient = ls.rank_deficient;
-  out.coefficients = ls.coefficients;
-  out.xtx_inverse = ls.xtx_inverse;
+  out.coefficients = std::move(ls.coefficients);
+  out.xtx_inverse = std::move(ls.xtx_inverse);
+  out.fitted = std::move(fitted);
 
-  out.fitted = x * out.coefficients;
   out.residuals.resize(n);
   double mean_y = 0.0;
   for (double v : y) mean_y += v;

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "stats/linalg.h"
 #include "stats/matrix.h"
 
 namespace mscm::stats {
@@ -58,6 +59,13 @@ struct OlsResult {
 
 // Fits y ≈ X beta. Requires X.rows() == y.size() and X.rows() >= X.cols().
 OlsResult FitOls(const Matrix& x, const std::vector<double>& y);
+
+// The statistics of a solved fit: residuals, SSE, SST, R^2, adjusted R^2,
+// SEE, F and its p-value, standard errors and t statistics. `fitted` is
+// X beta for `ls`'s coefficients, in the order of `y`. FitOls ends here, and
+// so does a fit solved block by block (SolveLeastSquares over blocks).
+OlsResult SummarizeFit(LeastSquaresResult ls, const std::vector<double>& y,
+                       std::vector<double> fitted);
 
 // Variance inflation factor of design column `col`: 1 / (1 - R_j^2) where
 // R_j^2 comes from regressing column j on all the other columns. Returns a

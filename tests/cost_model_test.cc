@@ -1,10 +1,16 @@
 #include "core/cost_model.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "stats/ols.h"
 #include "tests/test_util.h"
 
 namespace mscm::core {
@@ -272,6 +278,176 @@ TEST(CostModelTest, ApplyFeedbackRejectsBadObservations) {
                    .ApplyFeedback(
                        0, {std::numeric_limits<double>::infinity(), 2.0}, 5.0)
                    .has_value());
+}
+
+// --- The general form is fitted one contention state at a time. Its
+// reference is the dense fit of the same design: one QR over all S(k+1)
+// columns.
+
+stats::OlsResult DenseGeneralFit(const ObservationSet& obs,
+                                 const std::vector<int>& selected,
+                                 const ContentionStates& states) {
+  const DesignLayout layout =
+      DesignLayout::Make(static_cast<int>(selected.size()),
+                         QualitativeForm::kGeneral, states.num_states());
+  return stats::FitOls(BuildDesignMatrix(obs, selected, states, layout),
+                       ResponseVector(obs));
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectBitIdentical(const std::vector<double>& a,
+                        const std::vector<double>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(Bits(a[i]), Bits(b[i])) << what << "[" << i << "]";
+  }
+}
+
+// Every field of the two fits, bit for bit.
+void ExpectSameFit(const stats::OlsResult& block,
+                   const stats::OlsResult& dense) {
+  EXPECT_EQ(block.rank_deficient, dense.rank_deficient);
+  EXPECT_EQ(block.n, dense.n);
+  EXPECT_EQ(block.p, dense.p);
+  ExpectBitIdentical(block.coefficients, dense.coefficients, "coefficient");
+  ExpectBitIdentical(block.standard_errors, dense.standard_errors, "se");
+  ExpectBitIdentical(block.t_statistics, dense.t_statistics, "t");
+  ExpectBitIdentical(block.fitted, dense.fitted, "fitted");
+  ExpectBitIdentical(block.residuals, dense.residuals, "residual");
+  ExpectBitIdentical(block.xtx_inverse.data(), dense.xtx_inverse.data(),
+                     "xtx_inverse");
+  ExpectBitIdentical({block.sse, block.sst, block.r_squared,
+                      block.adjusted_r_squared, block.standard_error,
+                      block.f_statistic, block.f_pvalue},
+                     {dense.sse, dense.sst, dense.r_squared,
+                      dense.adjusted_r_squared, dense.standard_error,
+                      dense.f_statistic, dense.f_pvalue},
+                     "summary");
+}
+
+// (X'X)^{-1} of a general-form fit has exact zeros between states.
+void ExpectZeroAcrossStates(const stats::OlsResult& fit,
+                            const DesignLayout& layout) {
+  const std::vector<DesignTerm>& terms = layout.terms();
+  for (size_t a = 0; a < terms.size(); ++a) {
+    for (size_t b = 0; b < terms.size(); ++b) {
+      if (terms[a].state == terms[b].state) continue;
+      EXPECT_EQ(Bits(fit.xtx_inverse(a, b)), Bits(0.0))
+          << "(" << a << ", " << b << ")";
+    }
+  }
+}
+
+double RelativeError(double got, double want) {
+  return std::fabs(got - want) / std::max(std::fabs(want), 1e-300);
+}
+
+// Noisy per-state linear data: intercepts in [1, 50), slopes in [0.5, 5).
+ObservationSet RandomStateData(int num_states, int num_features, size_t n,
+                               Rng& rng) {
+  test::SyntheticGroundTruth truth;
+  for (int s = 0; s < num_states; ++s) {
+    truth.intercepts.push_back(rng.Uniform(1.0, 50.0));
+    std::vector<double> slopes;
+    for (int j = 0; j < num_features; ++j) {
+      slopes.push_back(rng.Uniform(0.5, 5.0));
+    }
+    truth.slopes.push_back(std::move(slopes));
+  }
+  truth.noise_stddev = 1.0;
+  return test::SyntheticObservations(truth, n, rng);
+}
+
+TEST(GeneralFormBlockFitTest, MatchesDenseFit) {
+  Rng rng(31);
+  for (int num_states : {1, 2, 5, 8}) {
+    for (int k : {1, 3, 5}) {
+      SCOPED_TRACE(testing::Message() << "S=" << num_states << " k=" << k);
+      const ObservationSet obs = RandomStateData(num_states, k, 400, rng);
+      std::vector<int> selected(static_cast<size_t>(k));
+      std::iota(selected.begin(), selected.end(), 0);
+      const ContentionStates states =
+          ContentionStates::UniformPartition(0.0, 1.0, num_states);
+      const CostModel model =
+          FitCostModel(QueryClassId::kUnarySeqScan, obs, selected, states,
+                       QualitativeForm::kGeneral);
+      const stats::OlsResult& block = model.fit();
+      const stats::OlsResult dense = DenseGeneralFit(obs, selected, states);
+      ASSERT_FALSE(dense.rank_deficient);
+      if (num_states == 1) {
+        ExpectSameFit(block, dense);
+        continue;
+      }
+      EXPECT_FALSE(block.rank_deficient);
+      ASSERT_EQ(block.coefficients.size(), dense.coefficients.size());
+      for (size_t j = 0; j < dense.coefficients.size(); ++j) {
+        EXPECT_LE(RelativeError(block.coefficients[j], dense.coefficients[j]),
+                  1e-9)
+            << "coefficient " << j;
+        for (size_t i = 0; i < dense.coefficients.size(); ++i) {
+          const double scale = std::max(dense.xtx_inverse(i, i),
+                                        dense.xtx_inverse(j, j));
+          EXPECT_NEAR(block.xtx_inverse(i, j), dense.xtx_inverse(i, j),
+                      1e-9 * scale);
+        }
+      }
+      EXPECT_LE(RelativeError(block.standard_error, dense.standard_error),
+                1e-12);
+      EXPECT_LE(RelativeError(block.r_squared, dense.r_squared), 1e-12);
+      EXPECT_LE(RelativeError(block.f_statistic, dense.f_statistic), 1e-12);
+      ExpectZeroAcrossStates(block, model.layout());
+      // Residuals come back in observation order.
+      ASSERT_EQ(block.residuals.size(), obs.size());
+      for (size_t i = 0; i < obs.size(); ++i) {
+        EXPECT_EQ(block.residuals[i], obs[i].cost - block.fitted[i]);
+        EXPECT_NEAR(block.residuals[i], dense.residuals[i], 1e-9);
+      }
+    }
+  }
+}
+
+TEST(GeneralFormBlockFitTest, RankDeficientFitsMatchDenseRidgeBitForBit) {
+  Rng rng(32);
+  const ContentionStates states =
+      ContentionStates::UniformPartition(0.0, 1.0, 3);
+  const std::vector<int> selected = {0, 1};
+  const ObservationSet base = RandomStateData(3, 2, 150, rng);
+  auto state_of = [&](const Observation& o) {
+    return states.StateOf(o.probing_cost);
+  };
+
+  // State 0's two features are one column twice.
+  ObservationSet duplicated = base;
+  for (Observation& o : duplicated) {
+    if (state_of(o) == 0) o.features[1] = o.features[0];
+  }
+  // State 2 keeps two rows for its three columns.
+  ObservationSet short_state;
+  int kept = 0;
+  for (const Observation& o : base) {
+    if (state_of(o) != 2 || kept++ < 2) short_state.push_back(o);
+  }
+  // State 1 has no rows at all.
+  ObservationSet empty_state;
+  for (const Observation& o : base) {
+    if (state_of(o) != 1) empty_state.push_back(o);
+  }
+
+  const std::pair<const char*, const ObservationSet*> cases[] = {
+      {"duplicated feature", &duplicated},
+      {"short state", &short_state},
+      {"empty state", &empty_state}};
+  for (const auto& [name, obs] : cases) {
+    SCOPED_TRACE(name);
+    const CostModel model =
+        FitCostModel(QueryClassId::kUnarySeqScan, *obs, selected, states,
+                     QualitativeForm::kGeneral);
+    const stats::OlsResult dense = DenseGeneralFit(*obs, selected, states);
+    EXPECT_TRUE(dense.rank_deficient);
+    ExpectSameFit(model.fit(), dense);
+    ExpectZeroAcrossStates(model.fit(), model.layout());
+  }
 }
 
 }  // namespace

@@ -1,9 +1,51 @@
 #include "stats/distributions.h"
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace mscm::stats {
 namespace {
+
+// The quantiles' bisection as a fixed 200 steps, the reference the
+// converged early exit must reproduce bit for bit.
+double ReferenceTUpperQuantile(double alpha, double df) {
+  double lo = 0.0;
+  double hi = 1.0;
+  while (1.0 - StudentTCdf(hi, df) > alpha) {
+    hi *= 2.0;
+    if (hi > 1e12) break;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (1.0 - StudentTCdf(mid, df) > alpha) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+double ReferenceFUpperQuantile(double alpha, double d1, double d2) {
+  double lo = 0.0;
+  double hi = 1.0;
+  while (FSurvival(hi, d1, d2) > alpha) {
+    hi *= 2.0;
+    if (hi > 1e12) break;
+  }
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    if (FSurvival(mid, d1, d2) > alpha) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
 
 TEST(FDistributionTest, CdfAtZeroIsZero) {
   EXPECT_DOUBLE_EQ(FCdf(0.0, 3, 10), 0.0);
@@ -76,6 +118,35 @@ TEST(FUpperQuantileTest, InvertsSurvival) {
 
 TEST(FUpperQuantileTest, MatchesTable) {
   EXPECT_NEAR(FUpperQuantile(0.05, 1, 10), 4.9646, 1e-3);
+}
+
+TEST(StudentTTest, UpperQuantileMatchesFullBisectionBitForBit) {
+  // Every dof 1-60, then a geometric sweep (fractional dofs included) to
+  // 2000, across the alphas intervals and tests use.
+  std::vector<double> dofs;
+  for (int d = 1; d <= 60; ++d) dofs.push_back(d);
+  for (double d = 64.0; d < 2000.0; d *= 1.1) dofs.push_back(d);
+  dofs.push_back(2000.0);
+  for (double df : dofs) {
+    for (double alpha : {0.005, 0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.4}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(StudentTUpperQuantile(alpha, df)),
+                std::bit_cast<uint64_t>(ReferenceTUpperQuantile(alpha, df)))
+          << "alpha " << alpha << " dof " << df;
+    }
+  }
+}
+
+TEST(FUpperQuantileTest, MatchesFullBisectionBitForBit) {
+  const double pairs[][2] = {{1, 10}, {3, 30}, {4, 18}, {5, 20}, {12, 340},
+                             {40, 400}, {2, 2000}};
+  for (const auto& d : pairs) {
+    for (double alpha : {0.005, 0.01, 0.05, 0.1, 0.25}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(FUpperQuantile(alpha, d[0], d[1])),
+                std::bit_cast<uint64_t>(
+                    ReferenceFUpperQuantile(alpha, d[0], d[1])))
+          << "alpha " << alpha << " d1 " << d[0] << " d2 " << d[1];
+    }
+  }
 }
 
 }  // namespace
