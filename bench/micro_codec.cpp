@@ -13,11 +13,10 @@
 //   encode point / batch    — AppendFrame of the response frame, header and
 //                             payload, into a reused write buffer
 //   serve point / batch     — one round trip through a real EstimateServer
-//                             on loopback, pricing through an
-//                             EstimationService configured like
-//                             mscm_served's (estimate cache on, distinct
-//                             keys, so every item misses and inserts). The
-//                             client sends prebuilt frames and reads each
+//                             on loopback, pricing distinct requests
+//                             through an EstimationService, as
+//                             mscm_served does. The client sends
+//                             prebuilt frames and reads each
 //                             response into a fixed buffer with bare socket
 //                             calls, so every allocation counted is the
 //                             server's, from its read through assembly,
@@ -82,10 +81,8 @@ using runtime::EstimateRequest;
 using runtime::EstimateResponse;
 
 constexpr size_t kBatchItems = 64;
-constexpr size_t kCachePerThread = 4096;  // mscm_served's setting
-// Distinct requests the serve steps cycle through: 16x the cache, so every
-// item misses and is inserted, clobbering an older entry.
-constexpr size_t kDistinct = 16 * kCachePerThread;
+// Distinct requests the serve steps cycle through.
+constexpr size_t kDistinct = 65536;
 
 volatile uint64_t g_sink = 0;
 
@@ -214,7 +211,6 @@ int main(int argc, char** argv) {
   // The service the serve steps price through.
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
-  config.cache.capacity_per_thread = kCachePerThread;
   runtime::EstimationService service(config);
   for (const std::string site : {"site0", "site1"}) {
     service.RegisterModel(site,

@@ -57,17 +57,9 @@ class GlobalCatalog {
 
   size_t size() const { return models_.size(); }
 
-  // Stable epoch of this catalog's contents. The catalog itself never changes
-  // it; a publisher (runtime::SnapshotCatalog) stamps each published snapshot
-  // with its version number so downstream caches can key on "which catalog
-  // priced this" without holding the snapshot pointer. 0 = never stamped.
-  uint64_t revision() const { return revision_; }
-  void set_revision(uint64_t revision) { revision_ = revision; }
-
  private:
   using Key = std::pair<std::string, int>;
   std::map<Key, CostModel> models_;
-  uint64_t revision_ = 0;
 };
 
 }  // namespace mscm::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "common/str_util.h"
 #include "stats/distributions.h"
@@ -83,9 +84,18 @@ CompiledEquations CompiledEquations::Compile(const std::vector<int>& selected,
     }
   }
   out.sigma_ = fit.standard_error;
-  out.t95_ = stats::StudentTUpperQuantile(0.025, dof);
+  out.t95_ = T95(fit.n - fit.p);
   out.has_intervals_ = true;
   return out;
+}
+
+double CompiledEquations::T95(size_t dof) {
+  thread_local std::unordered_map<size_t, double> memo;
+  const auto [it, inserted] = memo.try_emplace(dof, 0.0);
+  if (inserted) {
+    it->second = stats::StudentTUpperQuantile(0.025, static_cast<double>(dof));
+  }
+  return it->second;
 }
 
 CompiledEquations CompiledEquations::WithAdaptedRows(
@@ -183,16 +193,6 @@ CostDistribution CompiledEquations::EvaluateDistribution(
   out.low = std::max(0.0, out.mean - half);
   out.high = out.mean + half;
   return out;
-}
-
-void CompiledEquations::StateInterval(int state, double* lo,
-                                      double* hi) const {
-  MSCM_CHECK(state >= 0 && state < num_states());
-  const size_t s = static_cast<size_t>(state);
-  *lo = s == 0 ? -std::numeric_limits<double>::infinity()
-               : boundaries_[s - 1];
-  *hi = s >= boundaries_.size() ? std::numeric_limits<double>::infinity()
-                                : boundaries_[s];
 }
 
 std::string CompiledEquations::ToString() const {

@@ -70,8 +70,8 @@ class CompiledEquations {
   // A copy of `base` with the given per-state coefficient rows replaced and
   // `generation` stamped — the adaptation swap path. Each replacement row
   // has stride (= num_selected + 1) doubles in (intercept, slopes) order;
-  // states not in `rows` keep the base rows bit for bit, so estimate-cache
-  // entries for untouched states stay value-correct across the swap. The
+  // states not in `rows` keep the base rows bit for bit, so estimates priced
+  // in untouched states are bit-identical across the swap. The
   // interval structure is kept as-is: RLS adaptation moves the point
   // equations, while prediction intervals continue to describe the last
   // full (slow-path) fit.
@@ -173,13 +173,16 @@ class CompiledEquations {
     return &table_[static_cast<size_t>(state) * stride_];
   }
 
-  // The state's partition interval (lo, hi], ±infinity at the ends — what
-  // the runtime estimate cache revalidates published probing costs against.
-  void StateInterval(int state, double* lo, double* hi) const;
-
   // Whether the prediction-interval structure was compiled in (see the
   // OlsResult Compile overload).
   bool has_intervals() const { return has_intervals_; }
+
+  // The Student t upper 0.025 quantile at `dof` degrees of freedom,
+  // bit-identical to stats::StudentTUpperQuantile(0.025, dof) and memoized
+  // per thread: every trial fit of variable selection and state
+  // determination compiles its interval table, and the trial fits of one
+  // derivation share a handful of dof values.
+  static double T95(size_t dof);
 
   // Half-width of the 95% prediction interval for a *new* observation
   // evaluated in `state`: t * s * sqrt(1 + z' M_s z) with z = (1, gathered)

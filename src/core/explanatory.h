@@ -9,7 +9,6 @@
 #ifndef MSCM_CORE_EXPLANATORY_H_
 #define MSCM_CORE_EXPLANATORY_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -30,8 +29,6 @@ class VariableSet {
   // class and 12 for a join class.
   static constexpr size_t kUnarySize = 7;
   static constexpr size_t kJoinSize = 12;
-  // The widest set of any class.
-  static constexpr size_t kMaxSize = std::max(kUnarySize, kJoinSize);
 
   static VariableSet ForClass(QueryClassId id);
 

@@ -74,7 +74,6 @@ bool ServedRuntime::Start(std::string* error) {
   runtime::EstimationServiceConfig service_config;
   service_config.probe_ttl = std::chrono::seconds(5);
   service_config.probe_interval = config_.probe_interval;
-  service_config.cache.capacity_per_thread = 4096;
   service_ = std::make_unique<runtime::EstimationService>(service_config);
 
   const std::vector<core::QueryClassId> classes = {

@@ -448,7 +448,7 @@ void AdaptationController::MaybePublish(
   }
 
   if (service_->ApplyAdaptedModel(key.first, current->WithAdaptation(next),
-                                  group.generation, changed)) {
+                                  group.generation)) {
     adaptations_published_.fetch_add(1, std::memory_order_relaxed);
     group.generation = next_generation;
     for (const int state : changed) group.states[state].new_updates = 0;

@@ -8,9 +8,9 @@
 // variables are still the right ones, and only the coefficient values have
 // walked. For that case this controller maintains one recursive-least-squares
 // estimator per (site, class, state) over the live feedback stream and
-// periodically publishes the updated coefficient rows as a revision-
-// preserving row swap (EstimationService::ApplyAdaptedModel) — milliseconds
-// and zero probing queries, versus the daemon's full re-sample.
+// periodically publishes the updated coefficient rows as a row swap
+// (EstimationService::ApplyAdaptedModel) — milliseconds and zero probing
+// queries, versus the daemon's full re-sample.
 //
 // Record path contract (the PR 7 shared-nothing rule): Record() is called
 // from serving threads and performs ZERO shared atomic RMWs. Each thread

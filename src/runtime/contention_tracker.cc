@@ -1,13 +1,11 @@
 #include "runtime/contention_tracker.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "common/check.h"
-#include "runtime/rmw_probe.h"
 
 namespace mscm::runtime {
 
@@ -28,7 +26,6 @@ ContentionTracker::ContentionTracker(ContentionTrackerConfig config,
     : config_(std::move(config)),
       probe_(std::move(probe)),
       probe_latency_(probe_latency),
-      published_cost_bits_(std::bit_cast<uint64_t>(kNoReading)),
       current_interval_ns_(config_.probe_interval.count()),
       breaker_(config_.breaker, config_.clock) {
   MSCM_CHECK(probe_ != nullptr);
@@ -125,7 +122,6 @@ bool ContentionTracker::RunProbe(double* cost) {
 }
 
 bool ContentionTracker::ProbeOnce() {
-  const bool was_degraded = breaker_.degraded();
   if (!breaker_.AllowRequest()) {
     suppressed_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -139,8 +135,8 @@ bool ContentionTracker::ProbeOnce() {
   const uint64_t sequence =
       next_sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // The probe runs outside the cache mutex: probing can take seconds and
-  // readers must keep getting the previous reading meanwhile.
+  // The probe runs outside the tracker mutex: probing can take seconds and
+  // readers keep getting the previous reading meanwhile.
   const auto started = std::chrono::steady_clock::now();
   double cost = kNoReading;
   const bool returned = RunProbe(&cost);
@@ -151,118 +147,55 @@ bool ContentionTracker::ProbeOnce() {
   }
 
   // A cost must be finite *and* non-negative to publish: +inf passes a
-  // NaN/negative check but bit-cast into published_cost_bits_ it would be
-  // served as a real probing cost (and mapped to the top state) forever.
+  // NaN/negative check but would be served as a real probing cost (and
+  // mapped to the top state) until the next successful probe.
   if (!returned || !(std::isfinite(cost) && cost >= 0.0)) {
     failures_.fetch_add(1, std::memory_order_relaxed);
     breaker_.RecordFailure();
-    NotifyDegradedTransition(was_degraded);
     return false;
   }
 
   breaker_.RecordSuccess();
   probes_.fetch_add(1, std::memory_order_relaxed);
-  StateChangeFn callback;
-  int old_state = -1;
-  int new_state = -1;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (reading_.has_value && sequence <= reading_.sequence) {
-      // A probe that started after this one already published: keep the newer
-      // reading (and its timestamp — republishing would serve old contention
-      // as fresh).
-      discarded_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      const bool first = !reading_.has_value;
-      old_state = first ? -1 : reading_.state;
-      reading_.has_value = true;
-      reading_.probing_cost = cost;
-      reading_.state = mapper_ ? mapper_(cost) : -1;
-      reading_.sequence = sequence;
-      reading_at_ = config_.clock->Now();
-      published_stale_ = false;
-      new_state = reading_.state;
-      // Publish cost before version: a lock-free validator that sees the old
-      // version paired with the new cost falls back to its bounds check, which
-      // rejects exactly the entries this transition invalidates.
-      published_cost_bits_.store(std::bit_cast<uint64_t>(cost),
-                                 std::memory_order_release);
-      changed = first || new_state != old_state;
-      if (changed) {
-        state_version_.fetch_add(1, std::memory_order_release);
-        callback = state_change_;
-      }
-    }
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_ptr<const Published> current = published_.load();
+  if (current != nullptr && sequence <= current->sequence) {
+    // A probe that started after this one already published: keep the newer
+    // reading (and its timestamp — republishing would serve old contention
+    // as fresh).
+    discarded_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
-  // Outside the lock: the callback typically fans out into cache shards and
-  // must not nest under the tracker mutex.
-  if (changed && callback) callback(old_state, new_state);
-  // A successful half-open trial closes the breaker: publish the flip.
-  NotifyDegradedTransition(was_degraded);
+  published_.Publish(std::make_shared<const Published>(
+      Published{cost, mapper_ ? mapper_(cost) : -1, sequence,
+                config_.clock->Now()}));
   return true;
 }
 
-void ContentionTracker::NotifyDegradedTransition(bool was_degraded) {
-  if (breaker_.degraded() == was_degraded) return;
-  StateChangeFn callback;
-  int state = -1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Responses cached before the flip embed the old degraded flag; bumping
-    // the version retires them even though the state itself did not move.
-    state_version_.fetch_add(1, std::memory_order_release);
-    callback = state_change_;
-    state = reading_.has_value ? reading_.state : -1;
-  }
-  if (callback) callback(state, state);
-}
-
 ProbeReading ContentionTracker::Current() const {
-  RmwProbe::Count(2);  // mutex_ lock + unlock — the probe-resolve RMW cost
-  std::lock_guard<std::mutex> lock(mutex_);
-  ProbeReading out = reading_;
+  ProbeReading out;
   out.degraded = breaker_.degraded();
-  if (out.has_value) {
-    const auto age = config_.clock->Now() - reading_at_;
-    out.age = std::chrono::duration_cast<std::chrono::nanoseconds>(age);
-    out.stale = out.age > config_.ttl;
-    if (out.stale != published_stale_) {
-      // Freshness changed since the last publication: responses cached under
-      // the old version carried the old stale flag, so retire them even
-      // though the state itself did not move.
-      published_stale_ = out.stale;
-      state_version_.fetch_add(1, std::memory_order_release);
-    }
-  }
+  const EpochGuard guard;
+  const Published* published = published_.Read(guard);
+  if (published == nullptr) return out;
+  out.has_value = true;
+  out.probing_cost = published->probing_cost;
+  out.state = published->state;
+  out.sequence = published->sequence;
+  out.age = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      config_.clock->Now() - published->taken);
+  out.stale = out.age > config_.ttl;
   return out;
 }
 
-double ContentionTracker::published_probing_cost() const {
-  return std::bit_cast<double>(
-      published_cost_bits_.load(std::memory_order_acquire));
-}
-
 void ContentionTracker::SetStateMapper(std::function<int(double)> mapper) {
-  StateChangeFn callback;
-  int old_state = -1;
-  int new_state = -1;
-  bool changed = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    mapper_ = std::move(mapper);
-    if (reading_.has_value) {
-      old_state = reading_.state;
-      reading_.state = mapper_ ? mapper_(reading_.probing_cost) : -1;
-      new_state = reading_.state;
-      if (new_state != old_state) {
-        changed = true;
-        state_version_.fetch_add(1, std::memory_order_release);
-        callback = state_change_;
-      }
-    }
-  }
-  if (changed && callback) callback(old_state, new_state);
+  std::lock_guard<std::mutex> lock(mutex_);
+  mapper_ = std::move(mapper);
+  const std::shared_ptr<const Published> current = published_.load();
+  if (current == nullptr) return;
+  Published remapped = *current;
+  remapped.state = mapper_ ? mapper_(remapped.probing_cost) : -1;
+  published_.Publish(std::make_shared<const Published>(remapped));
 }
 
 void ContentionTracker::SetStateBoundaries(std::vector<double> boundaries) {
@@ -273,14 +206,12 @@ void ContentionTracker::SetStateBoundaries(std::vector<double> boundaries) {
 bool ContentionTracker::BoundaryDistance(double* distance,
                                          double* boundary) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!reading_.has_value || boundaries_.empty() ||
-      !std::isfinite(reading_.probing_cost)) {
-    return false;
-  }
+  const std::shared_ptr<const Published> current = published_.load();
+  if (current == nullptr || boundaries_.empty()) return false;
   double best = std::numeric_limits<double>::infinity();
   double best_boundary = 0.0;
   for (double b : boundaries_) {
-    const double d = std::abs(reading_.probing_cost - b);
+    const double d = std::abs(current->probing_cost - b);
     if (d < best) {
       best = d;
       best_boundary = b;
@@ -291,18 +222,13 @@ bool ContentionTracker::BoundaryDistance(double* distance,
   return true;
 }
 
-void ContentionTracker::SetStateChangeCallback(StateChangeFn callback) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  state_change_ = std::move(callback);
-}
-
 std::chrono::nanoseconds ContentionTracker::AdaptInterval(
-    std::chrono::nanoseconds current, bool state_changed,
+    std::chrono::nanoseconds current, bool changed,
     std::chrono::nanoseconds min_interval,
     std::chrono::nanoseconds max_interval) {
   // Multiplicative decrease / gentler increase: react to a flip immediately,
   // back off only after sustained quiet, never leave [min, max].
-  const auto next = state_changed ? current / 2 : current + current / 4;
+  const auto next = changed ? current / 2 : current + current / 4;
   return std::clamp(next, min_interval, max_interval);
 }
 
@@ -315,18 +241,19 @@ void ContentionTracker::RunLoop(uint64_t generation) {
     current_interval_ns_.store(interval.count(), std::memory_order_relaxed);
   }
   for (;;) {
-    const uint64_t version_before =
-        state_version_.load(std::memory_order_acquire);
+    ProbeReading before;
+    if (adaptive) before = Current();
     const bool ok = ProbeOnce();
-    // Re-evaluate freshness so a failed probe publishes the fresh→stale
-    // transition (a successful one resets the age and publishes fresh).
-    Current();
     if (adaptive) {
-      // Any version movement — state flip, first reading, staleness
-      // transition — counts as environment activity worth probing faster for.
-      const bool flipped =
-          state_version_.load(std::memory_order_acquire) != version_before;
-      interval = AdaptInterval(interval, flipped, config_.min_probe_interval,
+      // Any change the probe made to what readers see — first reading, state
+      // flip, staleness or degraded transition — counts as environment
+      // activity worth probing faster for.
+      const ProbeReading after = Current();
+      const bool changed = after.has_value != before.has_value ||
+                           after.state != before.state ||
+                           after.stale != before.stale ||
+                           after.degraded != before.degraded;
+      interval = AdaptInterval(interval, changed, config_.min_probe_interval,
                                config_.max_probe_interval);
       current_interval_ns_.store(interval.count(), std::memory_order_relaxed);
     }

@@ -1,14 +1,18 @@
 // Background contention tracking for one local site (paper §3.1/§3.3 made
 // continuous): a prober periodically runs the site's probing query — or an
 // Eq. 2 monitor-statistics estimate of it — maps the observed cost to a
-// contention state through a model's state partition, and caches
-// (state, probing_cost, timestamp). Estimation requests read the cache
-// instead of paying a probing query per estimate.
+// contention state through a model's state partition, and publishes the
+// reading (probing_cost, state, sequence, time taken). Estimation requests
+// read the published reading instead of paying a probing query per
+// estimate, and the read is lock-free: the reading is published through
+// EpochPublished (runtime/epoch.h), so Current() is an epoch pin, a pointer
+// load and a clock read — zero shared atomic RMWs.
 //
 // Freshness contract: a reading older than the TTL is still served (last
 // known state beats no state — the environment usually drifts, it does not
 // teleport) but is flagged `stale` so the caller can widen its error bars or
-// trigger a synchronous probe. Probe failures — a non-finite or negative
+// trigger a synchronous probe. Staleness is computed at read time from the
+// injected clock. Probe failures — a non-finite or negative
 // cost, a thrown exception, or a probe abandoned past its deadline — keep
 // the previous reading and bump a failure counter; with a retry backoff
 // configured, the background loop retries failed probes well before the
@@ -31,6 +35,7 @@
 
 #include "runtime/circuit_breaker.h"
 #include "runtime/clock.h"
+#include "runtime/epoch.h"
 #include "runtime/runtime_stats.h"
 
 namespace mscm::runtime {
@@ -44,8 +49,8 @@ struct ContentionTrackerConfig {
   std::chrono::nanoseconds probe_interval{0};
   // Adaptive cadence (enabled when both bounds are positive): after each
   // background probe the interval halves toward min_probe_interval if the
-  // probe moved the state version (state flip, staleness transition) and
-  // grows by a quarter toward max_probe_interval if it did not — fast
+  // (state, stale, degraded) reading differs from the one before the probe
+  // and grows by a quarter toward max_probe_interval if it does not — fast
   // detection when the environment is flapping, few wasted probes when it is
   // quiet (the paper's dynamic-environment premise, §3.1). When disabled
   // (either bound zero) the cadence is the fixed probe_interval.
@@ -62,7 +67,7 @@ struct ContentionTrackerConfig {
   // After a failed probe the background loop retries after
   // `failure_retry * 2^(consecutive_failures - 1)` (capped at the current
   // probe interval) instead of sleeping the whole interval — a transiently
-  // failing site usually gets several retries before the cached reading
+  // failing site usually gets several retries before the published reading
   // crosses its TTL and the stale flag flips. Zero disables (failures wait
   // the full interval).
   std::chrono::nanoseconds failure_retry{0};
@@ -73,7 +78,7 @@ struct ContentionTrackerConfig {
   Clock* clock = Clock::System();
 };
 
-// The cached contention reading for a site.
+// A site's published contention reading, as Current() reads it.
 struct ProbeReading {
   bool has_value = false;   // false until the first successful probe
   double probing_cost = 0.0;
@@ -121,11 +126,15 @@ class ContentionTracker {
   // an open circuit breaker).
   bool ProbeOnce();
 
-  // Current cached reading with staleness evaluated against the clock now.
+  // The published reading, with its age and staleness evaluated against the
+  // injected clock now. Lock-free: it pins the epoch (nesting under a
+  // caller's EpochGuard) and copies the reading — zero shared atomic RMWs.
+  // Every reading is whole: its state is the mapper that published it
+  // applied to its cost.
   ProbeReading Current() const;
 
   // Installs the probing-cost → state mapping (normally a model's
-  // ContentionStates::StateOf). Re-maps the cached reading immediately.
+  // ContentionStates::StateOf) and republishes the current reading remapped.
   void SetStateMapper(std::function<int(double)> mapper);
 
   // Installs the state partition's internal boundaries (ascending) so
@@ -141,32 +150,6 @@ class ContentionTracker {
   // estimates are least trustworthy.
   bool BoundaryDistance(double* distance, double* boundary) const;
 
-  // Invoked (outside the tracker's internal locks) whenever a probe or remap
-  // publishes a different state than the previous reading's. old_state is -1
-  // for the first reading. Used by the estimation service to drop cached
-  // estimates for this site the moment its contention state transitions.
-  using StateChangeFn = std::function<void(int old_state, int new_state)>;
-  void SetStateChangeCallback(StateChangeFn callback);
-
-  // Monotone version of the published (state, staleness, degraded) triple:
-  // bumped when a probe or remap changes the mapped state, when the reading
-  // crosses the TTL in either direction, and when the circuit breaker moves
-  // across the closed boundary (the degraded flag flipped). A cached estimate recorded at version v is
-  // state-consistent while state_version() == v still holds. Staleness
-  // transitions are detected when someone evaluates freshness (Current() or
-  // the background loop after a failed probe), so the bump lags a quiet
-  // fresh→stale crossing by at most one probe interval.
-  uint64_t state_version() const {
-    return state_version_.load(std::memory_order_acquire);
-  }
-
-  // The most recently published probing cost, without taking the tracker
-  // lock; NaN until the first successful probe. Paired with state_version()
-  // this is the cache's lock-free validity probe: a cached estimate is
-  // value-correct while the published cost stays inside its state's
-  // partition interval under the model that priced it.
-  double published_probing_cost() const;
-
   // The cadence the background loop is currently probing at (the
   // probe_interval_ns gauge). Equals config probe_interval until the
   // adaptive loop first adjusts it.
@@ -175,10 +158,11 @@ class ContentionTracker {
         current_interval_ns_.load(std::memory_order_relaxed));
   }
 
-  // The adaptive-cadence step, exposed for direct testing: halve on a state
-  // change, grow by a quarter when stable, clamped to [min, max].
+  // The adaptive-cadence step, exposed for direct testing: halve when a
+  // probe changed the reading, grow by a quarter when stable, clamped to
+  // [min, max].
   static std::chrono::nanoseconds AdaptInterval(
-      std::chrono::nanoseconds current, bool state_changed,
+      std::chrono::nanoseconds current, bool changed,
       std::chrono::nanoseconds min_interval,
       std::chrono::nanoseconds max_interval);
 
@@ -221,30 +205,25 @@ class ContentionTracker {
   // returned (an unvalidated) *cost in time.
   bool RunProbe(double* cost);
 
-  // Publishes a degraded-flag flip (version bump + state-change callback)
-  // when the breaker moved across the closed boundary.
-  void NotifyDegradedTransition(bool was_degraded);
+  // What Current() reads: the reading as its probe (or remap) published it.
+  struct Published {
+    double probing_cost = 0.0;
+    int state = -1;
+    uint64_t sequence = 0;
+    Clock::TimePoint taken{};
+  };
 
   const ContentionTrackerConfig config_;
   const ProbeFn probe_;
   LatencyHistogram* const probe_latency_;  // may be null
 
-  mutable std::mutex mutex_;  // guards reading_ + mapper_ + callback
-  ProbeReading reading_;
-  Clock::TimePoint reading_at_{};
+  // Serializes the writers of published_ (ProbeOnce's sequence check and
+  // SetStateMapper's remap) and guards mapper_ and boundaries_. Readers never
+  // take it.
+  mutable std::mutex mutex_;
   std::function<int(double)> mapper_;
   std::vector<double> boundaries_;  // state partition, ascending
-  StateChangeFn state_change_;
-  // The staleness last folded into state_version_ (see Current()); mutable
-  // because Current() publishes the transition it computes.
-  mutable bool published_stale_ = false;
-
-  // Lock-free mirrors of the published reading, written under mutex_ but
-  // readable without it — the estimate cache's hit path must not contend on
-  // the tracker lock. state_version_ is mutable for the same reason
-  // published_stale_ is.
-  mutable std::atomic<uint64_t> state_version_{0};
-  std::atomic<uint64_t> published_cost_bits_;
+  EpochPublished<Published> published_;  // null until the first success
   std::atomic<int64_t> current_interval_ns_;
 
   std::atomic<uint64_t> probes_{0};
@@ -253,7 +232,7 @@ class ContentionTracker {
   std::atomic<uint64_t> timeouts_{0};
   std::atomic<uint64_t> suppressed_{0};
   CircuitBreaker breaker_;
-  // Probe-start tickets; compared against reading_.sequence at publish time.
+  // Probe-start tickets; compared against the published sequence.
   std::atomic<uint64_t> next_sequence_{0};
 
   std::mutex thread_mutex_;  // guards thread_ / stop_ / generation_

@@ -1,10 +1,11 @@
 // Epoch-based reclamation for the estimate hot path: readers publish an
 // epoch into a per-thread slot and then dereference raw pointers; writers
 // swap the pointer, bump the global epoch, and retire the old object until
-// every in-flight reader has moved past it. A cached or single estimate
-// therefore pins the catalog / tracker-map / stale-set snapshots with two
-// plain seq_cst *stores* to its own slot — zero shared atomic RMWs — where
-// the shared_ptr path paid two refcount RMWs per snapshot per request.
+// every in-flight reader has moved past it. An estimate therefore pins the
+// catalog / tracker-map / stale-set snapshots and each site tracker's
+// published probe reading with two plain seq_cst *stores* to its own slot —
+// zero shared atomic RMWs — where the shared_ptr path paid two refcount
+// RMWs per snapshot per request, and the tracker mutex two more per site.
 //
 // Protocol (all seq_cst, deliberately: the reader-publish / writer-scan
 // pair is a Dekker-style flag handshake, and seq_cst keeps it both correct
@@ -32,10 +33,17 @@
 //
 // Retired objects are kept alive by type-erased shared_ptr keepalives, so
 // the domain composes with every snapshot the runtime already publishes as
-// shared_ptr (catalog, tracker map, stale-key set): cold readers keep using
-// AtomicSharedPtr::load(), hot readers use the raw epoch read, and the
-// object dies only when both the keepalive chain and the grace period
-// agree.
+// shared_ptr (catalog, tracker map, stale-key set, probe reading): cold
+// readers keep using AtomicSharedPtr::load(), hot readers use the raw epoch
+// read, and the object dies only when both the keepalive chain and the
+// grace period agree.
+//
+// A keepalive's destructor may itself destroy an EpochPublished — a retired
+// tracker map can hold the last reference to a site tracker, whose reading
+// is one — and that destructor drains the domain again. Reclaim therefore
+// frees records outside every domain lock, and the nested drain waits only
+// for readers: no code path holds an EpochGuard while it drops the last
+// reference to a publisher, so the drain never waits on its own thread.
 
 #ifndef MSCM_RUNTIME_EPOCH_H_
 #define MSCM_RUNTIME_EPOCH_H_

@@ -16,10 +16,10 @@ namespace mscm::runtime {
 namespace {
 
 // A request must be priceable before it touches any shared structure: a
-// non-finite feature would poison the estimate (and the estimate cache,
-// which keys on the feature vector), a NaN probing cost would silently fall
-// through the `>= 0` explicit-probe check into the cached-probe path, and a
-// +inf probing cost would map to the top state and price garbage.
+// non-finite feature would poison the estimate, a NaN probing cost would
+// silently fall through the `>= 0` explicit-probe check into the tracker
+// path, and a +inf probing cost would map to the top state and price
+// garbage.
 bool RequestIsValid(const EstimateRequest& request) {
   for (const double f : request.features) {
     if (!std::isfinite(f)) return false;
@@ -28,29 +28,8 @@ bool RequestIsValid(const EstimateRequest& request) {
   if (request.probing_cost >= 0.0 && !std::isfinite(request.probing_cost)) {
     return false;
   }
-  return true;  // any finite negative value means "use the cached probe"
+  return true;  // any finite negative value means "use the site's probe"
 }
-
-// Cache hits record latency on a 1-in-N sample (RecordN weights the sample
-// by the period, so the histogram's count still reflects every hit). An
-// unsampled hit path stays exactly as cheap as before — no clock reads —
-// and a sampled one adds two clock reads plus a per-thread histogram
-// stripe store: still zero shared atomic RMWs. Without this, the estimate
-// latency histogram held only cold-miss samples, so a *faster* cached
-// configuration reported *higher* p50/p99 than the uncached one.
-//
-// The sample period counts *hits*, not lookup attempts: the soak's
-// conservation checker caught the attempt-counting variant weighting each
-// sampled hit by the period even when most attempts in the window missed
-// (and had already recorded their own latency), pushing the histogram
-// count past the request count — up to ~2x on adversarial hit/miss
-// interleavings. Counting hits keeps count(estimate_latency) <= requests,
-// short by at most one unflushed window per thread.
-constexpr uint64_t kHitLatencySamplePeriod = 64;
-
-// Source of per-service identities for the hit sampler's thread-local
-// window state (see instance_id_ in the header). Monotonic, never reused.
-std::atomic<uint64_t> next_service_instance_id{1};
 
 // The six monotone rows a site's tracker counts itself (background probes
 // and ProbeNow alike): `probes` counts attempts, of which `probe_failures`
@@ -66,13 +45,10 @@ RuntimeCounters::Tally TrackerRows(const ContentionTracker& tracker) {
   return rows;
 }
 
-// One probe reading per distinct site of a pricing pass. `tracker` points
-// into the tracker map the pass's EpochGuard pins (null for an unknown
-// site); `state_version_before` was loaded before `reading` was taken.
+// One probe reading per distinct site of a pricing pass (no value for an
+// unknown site).
 struct SiteProbe {
   const std::string* site = nullptr;
-  const std::shared_ptr<ContentionTracker>* tracker = nullptr;
-  uint64_t state_version_before = 0;
   ProbeReading reading;
 };
 
@@ -129,18 +105,15 @@ const char* ToString(EstimateStatus s) {
 
 EstimationService::EstimationService(EstimationServiceConfig config)
     : config_(config),
-      cache_(config.cache),
       trackers_(std::make_shared<const TrackerMap>()),
-      stale_keys_(std::make_shared<const StaleKeySet>()),
-      instance_id_(
-          next_service_instance_id.fetch_add(1, std::memory_order_relaxed)) {}
+      stale_keys_(std::make_shared<const StaleKeySet>()) {}
 
 EstimationService::~EstimationService() { StopProbing(); }
 
 void EstimationService::StopProbing() {
-  // Stop every prober before members unwind: a live prober's state-change
-  // callback reaches into cache_, and replaced trackers kept alive by cache
-  // entries stop when the cache retires them in its own destructor.
+  // Stop every prober before members unwind: probers record into
+  // probe_latency_, which is destroyed before the tracker map that owns
+  // them.
   const TrackerMapSnapshot map = trackers_.load();
   for (const auto& [site, tracker] : *map) tracker->Stop();
 }
@@ -183,15 +156,11 @@ void EstimationService::RegisterModelLocked(
         [states](double cost) { return states.StateOf(cost); });
     tracker->SetStateBoundaries(states.boundaries());
   }
-  // Entries priced under the previous catalog revision can never hit again
-  // (the lookup epoch moved); evict the re-registered site's eagerly.
-  cache_.InvalidateSite(site);
 }
 
 bool EstimationService::ApplyAdaptedModel(const std::string& site,
                                           core::CostModel model,
-                                          uint64_t expected_generation,
-                                          const std::vector<int>& changed_states) {
+                                          uint64_t expected_generation) {
   const core::QueryClassId class_id = model.class_id();
   std::lock_guard<std::mutex> lock(control_mutex_);
   // Lost-race guard: the adaptation was derived against a specific lineage.
@@ -205,16 +174,8 @@ bool EstimationService::ApplyAdaptedModel(const std::string& site,
       return false;
     }
   }
-  catalog_.UpdatePreservingRevision(
-      [&site, &model](core::GlobalCatalog& catalog) {
-        catalog.Register(site, std::move(model));
-      });
+  catalog_.Register(site, std::move(model));
   counters_.Local().Add(RuntimeCounter::adaptations_applied);
-  // Only the swapped states' rows changed; every other state's cached
-  // responses stay bit-correct under the preserved revision.
-  for (const int state : changed_states) {
-    cache_.InvalidateSiteState(site, state);
-  }
   return true;
 }
 
@@ -232,12 +193,6 @@ void EstimationService::RegisterSite(const std::string& site,
   tracker_config.clock = config_.clock;
   auto tracker = std::make_shared<ContentionTracker>(
       std::move(tracker_config), std::move(probe), &probe_latency_);
-  // Evict the site's cached estimates the moment its contention state
-  // transitions. Fired off-lock from the tracker; touches only cache_.
-  tracker->SetStateChangeCallback(
-      [this, site](int /*old_state*/, int /*new_state*/) {
-        cache_.InvalidateSite(site);
-      });
 
   std::lock_guard<std::mutex> lock(control_mutex_);
 
@@ -281,10 +236,9 @@ void EstimationService::RegisterSite(const std::string& site,
 
   tracker->Start();
 
-  // A replaced tracker may survive for a while through cache entries that
-  // pin it (invalidation is lazy — each estimate thread retires its dead
-  // entries on its next lookups), so stop its prober eagerly here rather
-  // than waiting for the last pin to drop; the later release of an
+  // A replaced tracker may survive for a while through the retired tracker
+  // maps that in-flight estimates still pin, so stop its prober eagerly here
+  // rather than when the last map drops; the later release of an
   // already-stopped tracker is cheap. Its terminal counters fold into the
   // retired totals so Stats() never regresses across a re-registration.
   if (replaced != nullptr) {
@@ -293,7 +247,6 @@ void EstimationService::RegisterSite(const std::string& site,
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
     FoldTrackerLocked(*replaced, &replaced_folded);
   }
-  cache_.InvalidateSite(site);
 }
 
 void EstimationService::RegisterSite(mdbs::MdbsAgent* agent) {
@@ -305,8 +258,8 @@ void EstimationService::UnregisterSite(const std::string& site) {
 
   // Unpublish the tracker first: new estimates stop finding it immediately.
   // In-flight estimates hold the old map under an epoch guard — the map
-  // snapshot (and any cache entry pins) keep the tracker object alive until
-  // they drain, so nothing here frees memory a reader can still touch.
+  // snapshot keeps the tracker object alive until they drain, so nothing
+  // here frees memory a reader can still touch.
   std::shared_ptr<ContentionTracker> retired;
   RuntimeCounters::Tally folded;
   const TrackerMapSnapshot current = trackers_.load();
@@ -323,10 +276,7 @@ void EstimationService::UnregisterSite(const std::string& site) {
     FoldTrackerLocked(*retired, &folded);
   }
 
-  // Drop every (site, class) model. The snapshot swap bumps the catalog
-  // revision, so cached responses priced under the old catalog can never
-  // revalidate — the eager InvalidateSite below just reclaims the slots
-  // sooner.
+  // Drop every (site, class) model in one snapshot swap.
   bool had_models = false;
   {
     const auto snapshot = catalog_.snapshot();
@@ -377,7 +327,6 @@ void EstimationService::UnregisterSite(const std::string& site) {
     std::lock_guard<std::mutex> retired_lock(retired_mutex_);
     ++retired_[RuntimeCounter::sites_retired];
   }
-  cache_.InvalidateSite(site);
 }
 
 bool EstimationService::ProbeNow(const std::string& site) {
@@ -427,8 +376,6 @@ void EstimationService::SetModelStaleLocked(const std::string& site,
     next->erase(key);
   }
   stale_keys_.Publish(StaleKeySnapshot(std::move(next)));
-  // Cached responses embed the stale_model flag; a flip retires them.
-  cache_.InvalidateSite(site);
 }
 
 bool EstimationService::IsModelStale(const std::string& site,
@@ -477,18 +424,12 @@ void EstimationService::Price(const EpochGuard& guard,
     SiteProbe& probe = probes.emplace_back();
     probe.site = &site;
     if (const auto it = trackers->find(site); it != trackers->end()) {
-      // Version first, then the reading: if anything transitions in
-      // between, an entry cached from this reading is born invalid rather
-      // than wrongly valid.
-      probe.tracker = &it->second;
-      probe.state_version_before = it->second->state_version();
-      probe.reading = it->second->Current();
+      probe.reading = it->second->Current();  // lock-free, nested pin
     }
   }
 
   const core::GlobalCatalog* catalog = catalog_.Read(guard);
   const StaleKeySet* stale_keys = stale_keys_.Read(guard);
-  const bool use_cache = cache_.enabled();
   std::vector<Group>& groups = scratch.groups;
   std::vector<uint32_t>& next = scratch.next;
   std::vector<double>& estimates = scratch.estimates;
@@ -503,21 +444,15 @@ void EstimationService::Price(const EpochGuard& guard,
   for (size_t i = 0; i < n; ++i) {
     const EstimateRequest& request = requests[i];
     EstimateResponse& response = responses[i];
-    // A non-finite value must never become an estimate-cache key or a
-    // served estimate.
+    // A non-finite value must never become a served estimate.
     if (!RequestIsValid(request)) {
       counts.Add(RuntimeCounter::invalid_requests);
       response.status = EstimateStatus::kInvalidRequest;
       continue;
     }
-    // The cache did not answer this item: a single estimate reaches the
-    // pass after Estimate's lookup missed, and a batch item never looks.
-    if (use_cache && request.probing_cost < 0.0) {
-      counts.Add(RuntimeCounter::estimate_cache_misses);
-    }
 
     // The pass's first record for the (site, class): its model, stale flag
-    // and site probe, resolved once per pass. Its state is the cached
+    // and site probe, resolved once per pass. Its state is the site
     // probe's (-1 without one); an explicit probing cost that selects
     // another state gets a record of its own below.
     size_t g = 0;
@@ -630,36 +565,11 @@ void EstimationService::Price(const EpochGuard& guard,
       response.state = group.state;
       response.estimate_seconds = estimates[r];
     }
-
-    // Cache the single estimate (a pass of one, so the group's head) when
-    // it was priced from a fresh, healthy tracker reading. A stale,
-    // degraded or explicit-probing-cost response is not a function of the
-    // tracker's published state — and a degraded one must stop being
-    // served the moment the half-open trial restores the site. Batch and
-    // placement items are never cached: no workload repeats one, so their
-    // inserts only evicted the singles that do repeat.
-    const SiteProbe* probe = group.probe;
-    const EstimateRequest& request = requests[group.head];
-    if (batch || !use_cache || request.probing_cost >= 0.0 ||
-        probe == nullptr || probe->tracker == nullptr ||
-        !probe->reading.has_value || probe->reading.stale ||
-        probe->reading.degraded) {
-      continue;
-    }
-    // The tracker pointer stays valid for the call: it points into the map
-    // the caller's EpochGuard pins.
-    EstimateCache::InsertContext context;
-    context.tracker = probe->tracker;
-    context.state_version = probe->state_version_before;
-    equations.StateInterval(group.state, &context.state_lo, &context.state_hi);
-    cache_.Insert(request.site, static_cast<int>(request.class_id),
-                  request.features, catalog->revision(), context,
-                  responses[group.head]);
   }
 
   // The call's wall time spread over the items it priced: a rejected
-  // request did no work (the soak's conservation check flags
-  // count(estimate_latency) > requests).
+  // request did no work, so full-width traffic records exactly one sample
+  // per request (the soak checks count(estimate_latency) == requests).
   const auto priced = static_cast<uint64_t>(
       std::count_if(responses, responses + n, [](const EstimateResponse& r) {
         return r.status != EstimateStatus::kInvalidRequest;
@@ -675,57 +585,7 @@ void EstimationService::Price(const EpochGuard& guard,
 
 EstimateResponse EstimationService::Estimate(
     const EstimateRequest& request) const {
-  // Cache hit path first: no clocks, no snapshot, no histogram, no epoch
-  // guard — one validation, one hash, the calling thread's own cache shard,
-  // a handful of validation loads and one per-thread counter store. Zero
-  // shared atomic RMWs end to end (the shared_rmw_per_request bench gate).
-  // A request that fails validation never becomes a cache key; the pass
-  // below answers it.
-  const bool try_cache = cache_.enabled() && request.probing_cost < 0.0;
-  if (try_cache && RequestIsValid(request)) {
-    // Arm the clock when the *next hit* completes a sample window. Misses
-    // while armed waste one clock read (they pay the full miss path anyway)
-    // but never advance the window — only hits do, so the weighted sample
-    // stands for exactly kHitLatencySamplePeriod real hits.
-    //
-    // The window is per (thread, service): a function-scope thread_local
-    // outlives any one service, so without the identity tag a window
-    // part-filled by hits on a previous service would complete early here
-    // and record a full-period weighted sample into *this* histogram backed
-    // by fewer than kHitLatencySamplePeriod of this service's hits —
-    // breaking count(estimate_latency) <= requests. Switching services on a
-    // thread forfeits the partial window (undercounts, never overcounts).
-    struct HitSampleWindow {
-      uint64_t service_id = 0;
-      uint64_t hits_since_sample = 0;
-    };
-    thread_local HitSampleWindow window;
-    if (window.service_id != instance_id_) {
-      window.service_id = instance_id_;
-      window.hits_since_sample = 0;
-    }
-    uint64_t& hits_since_sample = window.hits_since_sample;
-    const bool armed = hits_since_sample + 1 == kHitLatencySamplePeriod;
-    std::chrono::steady_clock::time_point hit_started;
-    if (armed) hit_started = std::chrono::steady_clock::now();
-    EstimateResponse response;
-    if (cache_.Lookup(request.site, static_cast<int>(request.class_id),
-                      request.features, catalog_.version(), &response)) {
-      counters_.Local().Add(RuntimeCounter::estimate_cache_hits);
-      if (armed) {
-        estimate_latency_.RecordN(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - hit_started),
-            kHitLatencySamplePeriod);
-        hits_since_sample = 0;
-      } else {
-        ++hits_since_sample;
-      }
-      return response;
-    }
-  }
-
-  // Miss path: a pass over one request — a group of one.
+  // A pass over one request — a group of one.
   EstimateResponse response;
   EpochGuard guard;
   Price(guard, &request, 1, &response, nullptr, /*batch=*/false);
@@ -844,7 +704,6 @@ RuntimeStatsSnapshot EstimationService::Stats() const {
                  static_cast<int64_t>(tracker->current_probe_interval().count()));
   }
   rows[RuntimeCounter::stale_models] = stale_keys_.load()->size();
-  rows[RuntimeCounter::estimate_cache_invalidations] = cache_.invalidations();
   out.AddRows(rows);
   out.estimate_latency = estimate_latency_.Snap();
   out.probe_latency = probe_latency_.Snap();

@@ -9,22 +9,23 @@
 //       evaluate each model's compiled per-state equation table
 //       (core::CompiledEquations via GlobalCatalog::FindCompiled), never
 //       the derivation-side DesignLayout — and
-//   (2) per-site ContentionTrackers whose background probers keep a cached
-//       (contention state, probing cost) per site, so no probing query runs
-//       on the estimation path.
+//   (2) per-site ContentionTrackers whose background probers publish a
+//       (contention state, probing cost) reading per site, so no probing
+//       query runs on the estimation path.
 // Responses carry the contention state used, and a `stale_probe` flag when
-// the cached probe has outlived its TTL (last-known-state fallback).
+// the site's reading has outlived its TTL (last-known-state fallback).
 //
 // Every request is priced by one pass, a loop on the calling thread: under
 // one epoch pin it reads one catalog snapshot and one probe reading per
 // distinct site, resolves each request's model, probe and state, answers a
 // short feature vector with kInvalidRequest, evaluates the rest in
 // (site, class, state) groups and fills each response in one place.
-// Estimate() runs it over one request behind the cache-hit front end and
-// caches the answer; EstimateBatch() runs it over many — the federated-join
-// planner prices every candidate placement of every component query at
-// once — and ChoosePlacement() ranks under the same pin it priced with.
-// Batch and placement items neither read nor fill the estimate cache. The
+// Estimate() runs it over one request; EstimateBatch() runs it over many —
+// the federated-join planner prices every candidate placement of every
+// component query at once — and ChoosePlacement() ranks under the same pin
+// it priced with. There is no response cache: a pass reads every snapshot
+// and probe lock-free, so a single estimate performs zero shared atomic
+// RMWs, and an answer is always priced from what is published now. The
 // service owns no threads but its per-site probers: a caller that wants
 // parallel pricing calls EstimateBatch() from its own threads, as the
 // server's IO loops do.
@@ -48,7 +49,6 @@
 #include "runtime/clock.h"
 #include "runtime/contention_tracker.h"
 #include "runtime/epoch.h"
-#include "runtime/estimate_cache.h"
 #include "runtime/estimate_types.h"
 #include "runtime/runtime_stats.h"
 #include "runtime/snapshot_catalog.h"
@@ -60,7 +60,7 @@ class MdbsAgent;
 namespace mscm::runtime {
 
 struct EstimationServiceConfig {
-  // Cached probes older than this are still served, flagged stale.
+  // Probe readings older than this are still served, flagged stale.
   std::chrono::nanoseconds probe_ttl = std::chrono::seconds(5);
   // Background probe period per site; zero = probe only via ProbeNow().
   std::chrono::nanoseconds probe_interval{0};
@@ -80,9 +80,6 @@ struct EstimationServiceConfig {
   // suppressed, estimates serve from the last known state with
   // degraded=true, and the refresh daemon holds its re-derivations.
   CircuitBreakerConfig breaker;
-  // State-keyed response memo for single estimates (see estimate_cache.h);
-  // capacity_per_thread 0 disables.
-  EstimateCacheConfig cache;
   // Soft state-membership band for the near_boundary_sites gauge and the
   // default placement ranking: a site whose published probing cost sits
   // within band_fraction * |boundary| of a partition boundary is "near" it
@@ -92,7 +89,7 @@ struct EstimationServiceConfig {
 };
 
 // EstimateStatus / EstimateRequest / EstimateResponse live in
-// runtime/estimate_types.h (shared with the estimate cache).
+// runtime/estimate_types.h.
 
 // A candidate placement: where could this component query run, and what
 // would shipping its result home cost under current link conditions?
@@ -142,17 +139,14 @@ class EstimationService {
 
   // Publishes a streaming-adaptation of the already-registered model for
   // (site, model.class_id()) — the fast tier of the two-tier adaptation
-  // path. Unlike RegisterModel this preserves the catalog revision (all
-  // rows except `changed_states` are bit-identical, so surviving estimate
-  // cache entries for other states stay value-correct) and invalidates the
-  // cache only at (site, state) grain. Fails (returns false, publishes
-  // nothing) when no model is registered for the key or the registered
-  // model's generation no longer equals `expected_generation` — the
-  // lost-race guard against a concurrent full re-derivation or another
-  // adaptation landing first.
+  // path. Unlike RegisterModel it leaves the stale-model flag and the
+  // tracker's partition alone (an adaptation swaps coefficient rows, never
+  // the partition). Fails (returns false, publishes nothing) when no model
+  // is registered for the key or the registered model's generation no
+  // longer equals `expected_generation` — the lost-race guard against a
+  // concurrent full re-derivation or another adaptation landing first.
   bool ApplyAdaptedModel(const std::string& site, core::CostModel model,
-                         uint64_t expected_generation,
-                         const std::vector<int>& changed_states);
+                         uint64_t expected_generation);
 
   // As RegisterModel, but publishes only while the site is still live —
   // it has a registered tracker or at least one registered model. Returns
@@ -172,21 +166,19 @@ class EstimationService {
   void RegisterSite(mdbs::MdbsAgent* agent);
 
   // Retires a site: stops and unpublishes its tracker, drops every
-  // (site, class) model from the catalog (a revision-bumping snapshot swap,
-  // so cached responses priced under the old catalog can never hit again),
-  // clears the site's stale-model flags and eagerly evicts its cached
-  // estimates. In-flight estimates drain safely — an epoch guard pins the
-  // tracker map and catalog snapshot they read, and the tracker object
-  // itself stays alive through the shared_ptrs those snapshots (and any
-  // surviving cache entries) hold. The retired tracker's probe/breaker
-  // counters are folded into the service totals so Stats() stays monotone
-  // across churn. Idempotent; unknown sites are a no-op. See DESIGN §7
-  // "Site lifecycle" for the full contract.
+  // (site, class) model from the catalog in one snapshot swap and clears the
+  // site's stale-model flags. In-flight estimates drain safely — an epoch
+  // guard pins the tracker map and catalog snapshot they read, and the
+  // tracker object itself stays alive through the shared_ptrs those
+  // snapshots hold. The retired tracker's probe/breaker counters are folded
+  // into the service totals so Stats() stays monotone across churn.
+  // Idempotent; unknown sites are a no-op. See DESIGN §7 "Site lifecycle"
+  // for the full contract.
   void UnregisterSite(const std::string& site);
 
   // Graceful-shutdown hook: stops every site's background prober and blocks
   // until in-flight probes finish (or are abandoned at their deadline).
-  // Estimates keep serving from the last cached readings. Idempotent; the
+  // Estimates keep serving from the last published readings. Idempotent; the
   // destructor calls it. Ordered teardown of a serving stack is
   //   server drain → refresh daemon stop → StopProbing() → service dtor
   // (see net/served_runtime.h).
@@ -195,7 +187,7 @@ class EstimationService {
   // Synchronous probe of one site; false if unknown site or probe failure.
   bool ProbeNow(const std::string& site);
 
-  // Current cached reading for a site (default ProbeReading if unknown).
+  // Current published reading for a site (default ProbeReading if unknown).
   ProbeReading CurrentProbe(const std::string& site) const;
 
   // Whether the site's probe circuit breaker is not closed (estimates for
@@ -219,8 +211,7 @@ class EstimationService {
   EstimateResponse Estimate(const EstimateRequest& request) const;
 
   // Prices every request on the calling thread against one catalog
-  // snapshot, fetching each distinct site's cached probe once. The items
-  // neither read nor fill the estimate cache. responses[i] answers
+  // snapshot, reading each distinct site's probe once. responses[i] answers
   // requests[i].
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests) const;
@@ -264,9 +255,7 @@ class EstimationService {
   // responses[0, n) on the calling thread from the snapshots `guard` pins,
   // and records the call's latency over the items it priced. `models`, when
   // not null, receives each item's resolved model (valid while `guard`
-  // lives). A `batch` counts one batch and leaves the estimate cache alone;
-  // otherwise the pass prices Estimate's one request after the cache's
-  // front end missed, and caches the answer.
+  // lives). A `batch` pass counts one batch.
   void Price(const EpochGuard& guard, const EstimateRequest* requests,
              size_t n, EstimateResponse* responses,
              const core::CompiledEquations** models, bool batch) const;
@@ -283,10 +272,6 @@ class EstimationService {
 
   const EstimationServiceConfig config_;
   SnapshotCatalog catalog_;
-  // Declared before the trackers so entries (which pin tracker references)
-  // are retired after the tracker map; the destructor stops every live
-  // prober first regardless.
-  mutable EstimateCache cache_;
 
   // Serializes the control plane: model registration, site registration and
   // stale-flag flips. Estimates never take it — they read the published
@@ -326,15 +311,6 @@ class EstimationService {
 
   mutable std::mutex retired_mutex_;
   RuntimeCounters::Tally retired_;
-
-  // Process-unique identity for this service instance. The hit-latency
-  // sampler keeps its window state in a function-scope thread_local; tagging
-  // that state with this id (never the `this` pointer — allocators reuse
-  // addresses) keeps a window partially filled against one service from
-  // completing early against another, which would record a full-period
-  // weighted sample backed by fewer real hits and push the histogram count
-  // past the request count.
-  const uint64_t instance_id_;
 
   mutable RuntimeCounters counters_;
   mutable LatencyHistogram estimate_latency_;

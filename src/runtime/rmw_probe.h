@@ -5,7 +5,7 @@
 // fallbacks) calls RmwProbe::Count at that site; per-thread single-writer
 // paths do not. bench/micro_runtime samples Current() around its timed
 // loops to report `shared_rmw_per_request` — the acceptance gate is zero on
-// the cached estimate hot path.
+// the single-estimate, hot-loop and degraded rows.
 //
 // This is bookkeeping, not detection: it counts the sites we know about.
 // Its value is that the hot path is audited — a new RMW sneaking into the

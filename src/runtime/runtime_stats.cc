@@ -154,7 +154,6 @@ void RuntimeStatsSnapshot::AddRows(const RuntimeCounters::Tally& rows) {
   for (size_t i = 0; i < fields.size(); ++i) {
     this->*fields[i].field += rows.values[i];
   }
-  requests += rows[RuntimeCounter::estimate_cache_hits];
 }
 
 std::string RuntimeStatsSnapshot::ToString() const {

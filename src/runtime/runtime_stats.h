@@ -224,9 +224,9 @@ class ShardedCounters {
 #define MSCM_RUNTIME_COUNTERS(ROW)                                            \
   ROW(requests, kCounter)            /* estimates served, single + batch */   \
   ROW(batches, kCounter)             /* EstimateBatch calls */                \
-  ROW(probe_cache_hits, kCounter)    /* served from a fresh cached probe */   \
+  ROW(probe_cache_hits, kCounter)    /* priced from a fresh site probe */     \
   ROW(probe_cache_stale, kCounter)   /* ... from a probe past its TTL */      \
-  ROW(probe_cache_misses, kCounter)  /* no cached probe available at all */   \
+  ROW(probe_cache_misses, kCounter)  /* no site probe available at all */     \
   ROW(no_model, kCounter)            /* (site, class) had no model */         \
   ROW(probes, kCounter)              /* probe attempts, failures included */  \
   ROW(probe_failures, kCounter)      /* errored probes (kept last state) */   \
@@ -240,16 +240,18 @@ class ShardedCounters {
   ROW(catalog_swaps, kCounter)       /* snapshot publications */              \
   ROW(stale_model_served, kCounter)  /* priced from a drift-flagged model */  \
   ROW(stale_models, kGauge)          /* (site, class) keys flagged stale */   \
-  ROW(estimate_cache_hits, kCounter) /* served from the response memo */      \
-  ROW(estimate_cache_misses, kCounter) /* memo on, did not answer it */       \
-  ROW(estimate_cache_invalidations, kCounter) /* memo entries evicted */      \
+  /* The three estimate_cache rows are retired; always 0; the key is a */     \
+  /* wire contract. */                                                        \
+  ROW(estimate_cache_hits, kCounter)                                          \
+  ROW(estimate_cache_misses, kCounter)                                        \
+  ROW(estimate_cache_invalidations, kCounter)                                 \
   ROW(placements, kCounter)          /* ChoosePlacement decisions */          \
   /* A distribution-aware policy picked another site than the point */        \
   /* argmin would have: the visible payoff of serving distributions. */       \
   ROW(placement_expected_cost_wins, kCounter)                                 \
   ROW(near_boundary_sites, kGauge)   /* probes inside a boundary band */      \
-  /* Streaming-RLS row swaps published (revision-preserving; full */          \
-  /* re-derivations count under catalog_swaps). */                            \
+  /* Streaming-RLS row swaps published (full re-derivations count */          \
+  /* under catalog_swaps). */                                                 \
   ROW(adaptations_applied, kCounter)                                          \
   ROW(sites_retired, kCounter)       /* sites retired via UnregisterSite */
 
@@ -268,9 +270,7 @@ struct RuntimeStatsSnapshot {
   LatencyHistogram::Snapshot estimate_latency;
   LatencyHistogram::Snapshot probe_latency;
 
-  // Adds each row of `rows` into its field. The cache-hit path bumps only
-  // estimate_cache_hits; a hit is still a served request, so `requests`
-  // takes the hits too.
+  // Adds each row of `rows` into its field.
   void AddRows(const RuntimeCounters::Tally& rows);
 
   std::string ToString() const;

@@ -18,24 +18,8 @@ void SnapshotCatalog::Update(
   // old snapshot keep it alive through their shared_ptr.
   auto next = std::make_shared<core::GlobalCatalog>(*current_.load());
   mutate(*next);
-  // Stamp the snapshot with the version it will be published under, so any
-  // reader holding it can tell which epoch priced its estimates.
-  const uint64_t next_version = version_.load(std::memory_order_relaxed) + 1;
-  next->set_revision(next_version);
   current_.Publish(Snapshot(std::move(next)));
-  version_.store(next_version, std::memory_order_relaxed);
-}
-
-void SnapshotCatalog::UpdatePreservingRevision(
-    const std::function<void(core::GlobalCatalog&)>& mutate) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  auto next = std::make_shared<core::GlobalCatalog>(*current_.load());
-  mutate(*next);
-  // Same revision as the snapshot being replaced: readers (and cache
-  // entries) cannot tell the difference except through the rows the caller
-  // swapped — which the caller invalidates per (site, state).
-  next->set_revision(version_.load(std::memory_order_relaxed));
-  current_.Publish(Snapshot(std::move(next)));
+  version_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace mscm::runtime

@@ -12,8 +12,11 @@
 // registered CostModel carries its core::CompiledEquations serving table,
 // publishing a snapshot *is* publishing the compiled form: the runtime's
 // estimate paths call FindCompiled() on a pinned snapshot and evaluate the
-// immutable table directly. Writers serialize on a mutex (model
-// registration is rare: once per derived/rebuilt model).
+// immutable table directly. Writers serialize on a mutex (publication is
+// rare: once per derived, rebuilt or adapted model), and every edit — a
+// registration, a site's retirement, an adaptation's row swap — is one
+// snapshot publication. Nothing downstream keys on which snapshot priced an
+// estimate: a reader sees whatever is published when it pins.
 
 #ifndef MSCM_RUNTIME_SNAPSHOT_CATALOG_H_
 #define MSCM_RUNTIME_SNAPSHOT_CATALOG_H_
@@ -56,17 +59,6 @@ class SnapshotCatalog {
   // site, bulk-loading a persisted catalog): `mutate` receives a private
   // copy of the current catalog, which is then published as one snapshot.
   void Update(const std::function<void(core::GlobalCatalog&)>& mutate);
-
-  // Copy-on-write edit published under the *current* revision — the
-  // adaptation row-swap path. A normal Update bumps the revision, which
-  // invalidates every estimate-cache entry (entries key on it); an
-  // adaptation swap changes only specific per-state coefficient rows, whose
-  // invalidation the caller handles at (site, state) grain, while every
-  // other row is bit-identical — so surviving cache entries remain
-  // value-correct under the preserved revision. Use ONLY for edits with
-  // that property.
-  void UpdatePreservingRevision(
-      const std::function<void(core::GlobalCatalog&)>& mutate);
 
   // Number of snapshots published (0 for a freshly constructed catalog).
   uint64_t version() const { return version_.load(std::memory_order_relaxed); }

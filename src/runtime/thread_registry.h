@@ -1,6 +1,6 @@
 // Process-wide registry of small dense thread slots, the backbone of every
 // per-thread hot-path structure in src/runtime (RuntimeCounters stripes,
-// LatencyHistogram stripes, EstimateCache shards, EpochDomain reader slots).
+// LatencyHistogram stripes, EpochDomain reader slots).
 //
 // Each live thread owns at most one slot in [0, kMaxSlots). Slots are unique
 // among live threads, stable for the thread's lifetime, and returned to a

@@ -12,11 +12,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/compiled_equations.h"
 #include "core/cost_model.h"
+#include "stats/distributions.h"
 #include "tests/test_util.h"
 
 namespace mscm::core {
@@ -238,27 +241,23 @@ TEST(CompiledEquationsTest, SharedCoefficientsResolvedIntoEveryState) {
   EXPECT_NE(Bits(compiled.row(0)[0]), Bits(compiled.row(1)[0]));
 }
 
-TEST(CompiledEquationsTest, StateIntervalMatchesPartition) {
-  test::SyntheticGroundTruth truth;
-  truth.intercepts = {1.0, 2.0, 3.0};
-  truth.slopes = {{1.0}, {1.0}, {1.0}};
-  Rng rng(8);
-  const ObservationSet obs = test::SyntheticObservations(truth, 200, rng);
-  const CostModel model = FitCostModel(
-      QueryClassId::kUnarySeqScan, obs, {0},
-      ContentionStates::FromBoundaries({0.4, 0.8}),
-      QualitativeForm::kGeneral);
-  double lo = 0.0;
-  double hi = 0.0;
-  model.compiled().StateInterval(0, &lo, &hi);
-  EXPECT_EQ(lo, -std::numeric_limits<double>::infinity());
-  EXPECT_DOUBLE_EQ(hi, 0.4);
-  model.compiled().StateInterval(1, &lo, &hi);
-  EXPECT_DOUBLE_EQ(lo, 0.4);
-  EXPECT_DOUBLE_EQ(hi, 0.8);
-  model.compiled().StateInterval(2, &lo, &hi);
-  EXPECT_DOUBLE_EQ(lo, 0.8);
-  EXPECT_EQ(hi, std::numeric_limits<double>::infinity());
+TEST(CompiledEquationsTest, MemoizedT95MatchesTheDirectQuantile) {
+  std::vector<uint64_t> direct;
+  for (size_t dof = 1; dof <= 2000; ++dof) {
+    direct.push_back(
+        Bits(stats::StudentTUpperQuantile(0.025, static_cast<double>(dof))));
+    // The first call fills this thread's memo; the second reads it back.
+    ASSERT_EQ(Bits(CompiledEquations::T95(dof)), direct.back()) << dof;
+    ASSERT_EQ(Bits(CompiledEquations::T95(dof)), direct.back()) << dof;
+  }
+  // A fresh thread starts from an empty memo and agrees.
+  size_t mismatches = 0;
+  std::thread([&] {
+    for (size_t dof = 1; dof <= direct.size(); ++dof) {
+      if (Bits(CompiledEquations::T95(dof)) != direct[dof - 1]) ++mismatches;
+    }
+  }).join();
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(CompiledEquationsDeathTest, ShortFeatureVectorRejectedUpFront) {

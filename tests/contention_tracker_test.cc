@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "runtime/clock.h"
+#include "runtime/rmw_probe.h"
 
 namespace mscm::runtime {
 namespace {
@@ -265,79 +266,122 @@ TEST(ContentionTrackerTest, AdaptIntervalHalvesOnFlipGrowsWhenStable) {
   EXPECT_EQ(interval, max);
 }
 
-TEST(ContentionTrackerTest, StateVersionTracksFlipsRemapsAndStaleness) {
+TEST(ContentionTrackerTest, CurrentTracksFlipsRemapsAndStaleness) {
   FakeClock clock;
   std::atomic<double> cost{0.5};
   ContentionTracker tracker(ManualConfig(&clock, seconds(5)),
                             [&cost] { return cost.load(); });
   tracker.SetStateMapper([](double c) { return c > 1.0 ? 1 : 0; });
-  EXPECT_EQ(tracker.state_version(), 0u);
-  EXPECT_TRUE(std::isnan(tracker.published_probing_cost()));
+  EXPECT_FALSE(tracker.Current().has_value);
 
-  // First reading publishes a state: version moves.
+  // The first reading publishes its cost and mapped state.
   ASSERT_TRUE(tracker.ProbeOnce());
-  const uint64_t after_first = tracker.state_version();
-  EXPECT_GT(after_first, 0u);
-  EXPECT_DOUBLE_EQ(tracker.published_probing_cost(), 0.5);
+  ProbeReading reading = tracker.Current();
+  EXPECT_DOUBLE_EQ(reading.probing_cost, 0.5);
+  EXPECT_EQ(reading.state, 0);
 
-  // Same state re-probed: no version movement, cost republished.
+  // Same state re-probed: the cost is republished.
   cost.store(0.9);
   ASSERT_TRUE(tracker.ProbeOnce());
-  EXPECT_EQ(tracker.state_version(), after_first);
-  EXPECT_DOUBLE_EQ(tracker.published_probing_cost(), 0.9);
+  reading = tracker.Current();
+  EXPECT_DOUBLE_EQ(reading.probing_cost, 0.9);
+  EXPECT_EQ(reading.state, 0);
 
-  // Crossing a partition boundary bumps.
+  // Crossing a partition boundary flips the state.
   cost.store(1.5);
   ASSERT_TRUE(tracker.ProbeOnce());
-  const uint64_t after_flip = tracker.state_version();
-  EXPECT_GT(after_flip, after_first);
+  EXPECT_EQ(tracker.Current().state, 1);
 
-  // A remap that changes the mapped state bumps.
+  // A remap republishes the reading under the new partition, keeping its
+  // cost, sequence and age.
+  const uint64_t sequence = tracker.Current().sequence;
   tracker.SetStateMapper([](double c) { return c > 2.0 ? 1 : 0; });
-  const uint64_t after_remap = tracker.state_version();
-  EXPECT_GT(after_remap, after_flip);
+  reading = tracker.Current();
+  EXPECT_EQ(reading.state, 0);
+  EXPECT_DOUBLE_EQ(reading.probing_cost, 1.5);
+  EXPECT_EQ(reading.sequence, sequence);
 
-  // Crossing the TTL bumps when the staleness is evaluated…
+  // Crossing the TTL shows at read time, on every read…
   clock.Advance(seconds(6));
   EXPECT_TRUE(tracker.Current().stale);
-  const uint64_t after_stale = tracker.state_version();
-  EXPECT_GT(after_stale, after_remap);
-  // …and only once per transition.
   EXPECT_TRUE(tracker.Current().stale);
-  EXPECT_EQ(tracker.state_version(), after_stale);
+  EXPECT_EQ(tracker.Current().age, seconds(6));
 
-  // A successful same-state probe restores freshness without a bump.
+  // …and a successful probe restores freshness.
   ASSERT_TRUE(tracker.ProbeOnce());
   EXPECT_FALSE(tracker.Current().stale);
-  EXPECT_EQ(tracker.state_version(), after_stale);
+  EXPECT_EQ(tracker.Current().age, seconds(0));
 }
 
-TEST(ContentionTrackerTest, StateChangeCallbackFiresOnTransitionsOnly) {
+// Readers loop on Current() while one thread publishes probes and another
+// remaps the state partition. Every reading must be whole — its state is a
+// mapper applied to its own cost, and its cost is the probe value of its
+// own sequence — a reader's sequences never go backwards, and the reads
+// perform zero shared atomic RMWs.
+TEST(ContentionTrackerTest, ConcurrentReadersSeeWholeReadings) {
   FakeClock clock;
-  std::atomic<double> cost{0.5};
-  ContentionTracker tracker(ManualConfig(&clock, seconds(5)),
-                            [&cost] { return cost.load(); });
-  tracker.SetStateMapper([](double c) { return c > 1.0 ? 1 : 0; });
-  std::vector<std::pair<int, int>> transitions;
-  tracker.SetStateChangeCallback([&transitions](int old_state, int new_state) {
-    transitions.emplace_back(old_state, new_state);
+  // With a single prober, the probe that took ticket k returns k.
+  std::atomic<uint64_t> probe_calls{0};
+  ContentionTracker tracker(ManualConfig(&clock, seconds(5)), [&] {
+    return static_cast<double>(probe_calls.fetch_add(1) + 1);
   });
+  const auto low = [](double c) { return static_cast<int>(c) % 7; };
+  const auto high = [](double c) { return 100 + static_cast<int>(c) % 7; };
+  tracker.SetStateMapper(low);
+  ASSERT_TRUE(tracker.ProbeOnce());
 
-  ASSERT_TRUE(tracker.ProbeOnce());  // first reading: -1 → 0
-  ASSERT_TRUE(tracker.ProbeOnce());  // same state: no callback
-  cost.store(1.5);
-  ASSERT_TRUE(tracker.ProbeOnce());  // flip: 0 → 1
-  tracker.SetStateMapper([](double c) { return c > 2.0 ? 1 : 0; });  // 1 → 0
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0};
+  std::atomic<uint64_t> backwards{0};
+  std::atomic<uint64_t> rmws{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      (void)tracker.Current();  // first use takes the thread's registry slot
+      const uint64_t rmw_before = RmwProbe::Current();
+      uint64_t last_sequence = 0;
+      uint64_t n = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const ProbeReading r = tracker.Current();
+        ++n;
+        const bool whole =
+            r.has_value &&
+            r.probing_cost == static_cast<double>(r.sequence) &&
+            (r.state == low(r.probing_cost) ||
+             r.state == high(r.probing_cost));
+        if (!whole) torn.fetch_add(1);
+        if (r.sequence < last_sequence) backwards.fetch_add(1);
+        last_sequence = r.sequence;
+      }
+      rmws.fetch_add(RmwProbe::Current() - rmw_before);
+      reads.fetch_add(n);
+    });
+  }
+  std::thread remapper([&] {
+    for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      if (i % 2 == 0) {
+        tracker.SetStateMapper(high);
+      } else {
+        tracker.SetStateMapper(low);
+      }
+    }
+  });
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(tracker.ProbeOnce());
+  stop.store(true);
+  remapper.join();
+  for (auto& reader : readers) reader.join();
 
-  ASSERT_EQ(transitions.size(), 3u);
-  EXPECT_EQ(transitions[0], std::make_pair(-1, 0));
-  EXPECT_EQ(transitions[1], std::make_pair(0, 1));
-  EXPECT_EQ(transitions[2], std::make_pair(1, 0));
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(backwards.load(), 0u);
+  EXPECT_EQ(rmws.load(), 0u);
+  EXPECT_EQ(tracker.Current().sequence, 2001u);
 }
 
 // Regression: the failure check used to be `isnan(cost) || cost < 0`, which
-// let +inf through — bit-cast into the published cost it was then served as
-// a real probing cost (and mapped into the top contention state) forever.
+// let +inf through — published, it was then served as a real probing cost
+// (and mapped into the top contention state) until the next good probe.
 TEST(ContentionTrackerTest, NonFiniteProbeCostsAreRejected) {
   FakeClock clock;
   for (const double bad :
@@ -348,7 +392,6 @@ TEST(ContentionTrackerTest, NonFiniteProbeCostsAreRejected) {
     EXPECT_FALSE(tracker.ProbeOnce());
     EXPECT_EQ(tracker.failures(), 1u);
     EXPECT_FALSE(tracker.Current().has_value);
-    EXPECT_TRUE(std::isnan(tracker.published_probing_cost()));
   }
 }
 
@@ -490,24 +533,18 @@ TEST(ContentionTrackerTest, BreakerOpensSuppressesProbingAndRecovers) {
   std::atomic<bool> fail{false};
   ContentionTracker tracker(
       config, [&fail] { return fail.load() ? std::nan("") : 0.7; });
-  std::atomic<int> callbacks{0};
-  tracker.SetStateChangeCallback(
-      [&callbacks](int, int) { callbacks.fetch_add(1); });
 
   ASSERT_TRUE(tracker.ProbeOnce());  // healthy reading published
-  const uint64_t healthy_version = tracker.state_version();
-  const int callbacks_after_first = callbacks.load();
+  EXPECT_FALSE(tracker.Current().degraded);
 
-  // Two consecutive failures open the breaker: the tracker is degraded, the
-  // version moved (cached estimates must retire), the reading is kept.
+  // Two consecutive failures open the breaker: the tracker is degraded and
+  // the reading is kept.
   fail.store(true);
   EXPECT_FALSE(tracker.ProbeOnce());
   EXPECT_FALSE(tracker.degraded());
   EXPECT_FALSE(tracker.ProbeOnce());
   EXPECT_TRUE(tracker.degraded());
   EXPECT_EQ(tracker.breaker().state(), CircuitBreaker::State::kOpen);
-  EXPECT_GT(tracker.state_version(), healthy_version);
-  EXPECT_GT(callbacks.load(), callbacks_after_first);
   ProbeReading reading = tracker.Current();
   EXPECT_TRUE(reading.has_value);
   EXPECT_TRUE(reading.degraded);
@@ -519,15 +556,13 @@ TEST(ContentionTrackerTest, BreakerOpensSuppressesProbingAndRecovers) {
   EXPECT_EQ(tracker.failures(), 2u);  // unchanged: nothing actually probed
 
   // After the cooling-off period, the half-open trial runs and a success
-  // closes the breaker: service restored, degraded flag cleared, version
-  // bumped again so degraded-free responses replace the old cached ones.
+  // closes the breaker: service restored, degraded flag cleared on the very
+  // next read.
   clock.Advance(seconds(6));
   fail.store(false);
-  const uint64_t degraded_version = tracker.state_version();
   EXPECT_TRUE(tracker.ProbeOnce());
   EXPECT_FALSE(tracker.degraded());
   EXPECT_EQ(tracker.breaker().state(), CircuitBreaker::State::kClosed);
-  EXPECT_GT(tracker.state_version(), degraded_version);
   EXPECT_FALSE(tracker.Current().degraded);
 }
 

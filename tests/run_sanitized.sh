@@ -24,7 +24,7 @@ case "${SANITIZER}" in
   address) BUILD_DIR="${REPO_ROOT}/build-asan" ;;
   *) BUILD_DIR="${REPO_ROOT}/build-${SANITIZER}" ;;
 esac
-FILTER='(ThreadPool|SnapshotCatalog|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|EstimateCache|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|WireGoldenBytes|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
+FILTER='(ThreadPool|SnapshotCatalog|ContentionTracker|EstimationService|ModelRefresh|RuntimeStress|CircuitBreaker|FaultInjector|FaultyObservationSource|RuntimeChaos|Epoch|ThreadRegistry|LatencyHistogram|RuntimeCounters|Rls|Adaptation|WireReader|WireMessages|WireValidation|WireGeneration|WireFuzz|WireGoldenBytes|FrameAssembler|StatsCodec|NetServer|NetShutdown|NetLoadGen|PlacementPolicy|CostDistribution|SiteLifecycle|FleetTest|RuntimeSoak)'
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DMSCM_SANITIZE="${SANITIZER}" \
   > /dev/null
@@ -32,7 +32,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DMSCM_SANITIZE="${SANITIZER}" \
 cmake --build "${BUILD_DIR}" -j \
   --target thread_pool_test snapshot_catalog_test contention_tracker_test \
            runtime_service_test runtime_refresh_test runtime_stress_test \
-           estimate_cache_test circuit_breaker_test fault_injector_test \
+           circuit_breaker_test fault_injector_test \
            runtime_chaos_test epoch_test runtime_stats_test \
            rls_test adaptation_test \
            wire_format_test net_server_test \

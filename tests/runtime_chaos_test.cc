@@ -92,7 +92,6 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   config.probe_failure_retry = milliseconds(1);
   config.breaker.failure_threshold = 3;
   config.breaker.open_duration = milliseconds(50);
-  config.cache.capacity_per_thread = 256;
   EstimationService service(config);
 
   const std::vector<std::string> sites = {"alpha", "beta"};
@@ -205,7 +204,7 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   // and service; from here on hangs return immediately.
   injector.ReleaseHangs();
 
-  // The machinery actually exercised its failure paths — and the cached
+  // The machinery actually exercised its failure paths — and the published
   // state every site serves from is still sane.
   const RuntimeStatsSnapshot stats = service.Stats();
   EXPECT_GT(stats.probes, 0u);

@@ -372,14 +372,11 @@ TEST(EstimationServiceTest, StaleModelFlagIsServedAndCounted) {
   EXPECT_EQ(service.Stats().stale_models, 0u);
 }
 
-// Regression: a NaN feature used to flow straight into the model (and, with
-// the memo enabled, poison the estimate cache with a NaN-keyed entry). The
-// service now validates requests at the boundary and rejects them without
-// touching any cache.
+// Regression: a NaN feature used to flow straight into the model. The
+// service now validates requests at the boundary and rejects them before
+// any lookup.
 TEST(EstimationServiceTest, InvalidRequestsAreRejectedAtTheBoundary) {
-  EstimationServiceConfig config;
-  config.cache.capacity_per_thread = 64;
-  EstimationService service(config);
+  EstimationService service;
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
   service.RegisterSite("a", [] { return 0.5; });
@@ -396,33 +393,26 @@ TEST(EstimationServiceTest, InvalidRequestsAreRejectedAtTheBoundary) {
   EXPECT_EQ(service.Estimate(bad_feature).status,
             EstimateStatus::kInvalidRequest);
 
-  // NaN probing cost is not "use the cached probe" (that is any finite
+  // NaN probing cost is not "use the site's probe" (that is any finite
   // negative value) — it is a corrupt request.
   EXPECT_EQ(service.Estimate(Request("a", cls, 3.0, nan)).status,
             EstimateStatus::kInvalidRequest);
   EXPECT_EQ(service.Estimate(Request("a", cls, 3.0, inf)).status,
             EstimateStatus::kInvalidRequest);
-  // The finite-negative sentinel still means "use the cached probe".
+  // The finite-negative sentinel still means "use the site's probe".
   EXPECT_TRUE(service.Estimate(Request("a", cls, 3.0, -2.0)).ok());
 
   const RuntimeStatsSnapshot stats = service.Stats();
   EXPECT_EQ(stats.invalid_requests, 4u);
-  // Rejected requests are not counted as served requests and never consult
-  // the response memo.
+  // Rejected requests are not counted as served requests, read no probe and
+  // record no latency.
   EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.estimate_cache_misses, 1u);
-  EXPECT_EQ(stats.estimate_cache_hits, 0u);
-
-  // A valid repeat of the good request hits the memo — the invalid ones left
-  // nothing behind.
-  EXPECT_TRUE(service.Estimate(Request("a", cls, 3.0, -2.0)).ok());
-  EXPECT_EQ(service.Stats().estimate_cache_hits, 1u);
+  EXPECT_EQ(stats.probe_cache_hits, 1u);
+  EXPECT_EQ(stats.estimate_latency.count, 1u);
 }
 
 TEST(EstimationServiceTest, BatchRejectsInvalidItemsIndividually) {
-  EstimationServiceConfig config;
-  config.cache.capacity_per_thread = 64;
-  EstimationService service(config);
+  EstimationService service;
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
 
@@ -438,10 +428,10 @@ TEST(EstimationServiceTest, BatchRejectsInvalidItemsIndividually) {
   EXPECT_EQ(service.Stats().invalid_requests, 1u);
 }
 
-// Tentpole: a site whose probes keep failing trips its circuit breaker.
-// Estimates keep flowing from the last known state, flagged degraded; the
-// degraded responses are never memoized; a half-open trial probe restores
-// clean service once the site recovers.
+// A site whose probes keep failing trips its circuit breaker. Estimates keep
+// flowing from the last known state, flagged degraded; a half-open trial
+// probe restores clean service once the site recovers, on the very next
+// estimate.
 TEST(EstimationServiceTest, DegradedSiteServesLastStateAndRecovers) {
   FakeClock clock;
   EstimationServiceConfig config;
@@ -449,7 +439,6 @@ TEST(EstimationServiceTest, DegradedSiteServesLastStateAndRecovers) {
   config.probe_ttl = std::chrono::hours(1);
   config.breaker.failure_threshold = 2;
   config.breaker.open_duration = seconds(5);
-  config.cache.capacity_per_thread = 64;
   EstimationService service(config);
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
@@ -485,8 +474,6 @@ TEST(EstimationServiceTest, DegradedSiteServesLastStateAndRecovers) {
   EXPECT_EQ(stats.degraded_served, 2u);
   EXPECT_EQ(stats.probes_suppressed, 1u);
   EXPECT_EQ(stats.probe_failures, 2u);
-  // Degraded responses were never memoized.
-  EXPECT_EQ(stats.estimate_cache_hits, 0u);
 
   // Recovery: past the open window, the next probe is the half-open trial;
   // it succeeds and the breaker closes.
@@ -605,10 +592,12 @@ TEST(EstimationServiceTest, NearBoundarySitesGaugeCountsBandProbes) {
   EXPECT_EQ(service.Stats().near_boundary_sites, 1u);
 }
 
+// Named for the estimate cache that once answered repeated keys without
+// timing most of them. A repeated request is now priced and timed like any
+// other, so every one lands in the latency histogram: N estimates, N samples.
 TEST(EstimationServiceTest, CacheHitsFeedTheLatencyHistogram) {
   EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
-  config.cache.capacity_per_thread = 64;
   EstimationService service(config);
   const auto cls = QueryClassId::kUnarySeqScan;
   service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
@@ -616,18 +605,205 @@ TEST(EstimationServiceTest, CacheHitsFeedTheLatencyHistogram) {
   ASSERT_TRUE(service.ProbeNow("a"));
 
   const EstimateRequest request = Request("a", cls, 3.0);
-  constexpr int kCalls = 4 * 64;
-  for (int i = 0; i < kCalls; ++i) ASSERT_TRUE(service.Estimate(request).ok());
+  constexpr uint64_t kCalls = 4 * 64;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    ASSERT_TRUE(service.Estimate(request).ok());
+  }
 
   const RuntimeStatsSnapshot stats = service.Stats();
-  ASSERT_GT(stats.estimate_cache_hits, 200u);
-  // One in 64 hits is measured and recorded with weight 64, so hit mass
-  // lands in the histogram instead of leaving it entirely to cold misses —
-  // the "cached path reports higher latency than uncached" artifact. Over H
-  // hits at least floor(H/64) samples fire regardless of the thread-local
-  // tick's phase, so the recorded count covers the hits to within one
-  // sampling period.
-  EXPECT_GE(stats.estimate_latency.count + 64, stats.estimate_cache_hits);
+  EXPECT_EQ(stats.requests, kCalls);
+  EXPECT_EQ(stats.probe_cache_hits, kCalls);
+  EXPECT_EQ(stats.estimate_latency.count, kCalls);
+}
+
+// ---- Freshness: every answer is priced from what is published now --------
+
+// The environment shifts across a partition boundary: the next estimate
+// prices under the new state, exactly.
+TEST(EstimationServiceTest, StateFlipRepricesExactly) {
+  EstimationService service;
+  const auto cls = QueryClassId::kUnarySeqScan;
+  // State 0: cost = 2x. State 1: cost = 5x (boundary at probe 1.0).
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  std::atomic<double> probe_value{0.5};
+  service.RegisterSite("a", [&] { return probe_value.load(); });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  for (int i = 0; i < 2; ++i) {
+    const EstimateResponse before = service.Estimate(Request("a", cls, 3.0));
+    ASSERT_TRUE(before.ok());
+    EXPECT_EQ(before.state, 0);
+    EXPECT_NEAR(before.estimate_seconds, 6.0, 1e-6);
+  }
+
+  probe_value.store(1.5);
+  ASSERT_TRUE(service.ProbeNow("a"));
+  const EstimateResponse after = service.Estimate(Request("a", cls, 3.0));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.state, 1);
+  EXPECT_NEAR(after.estimate_seconds, 15.0, 1e-6);
+  EXPECT_DOUBLE_EQ(after.probing_cost, 1.5);
+}
+
+// Re-deriving the model publishes a new catalog snapshot; the next estimate
+// is priced by it.
+TEST(EstimationServiceTest, ReregisteredModelIsServedAtOnce) {
+  EstimationService service;
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+  EXPECT_NEAR(service.Estimate(Request("a", cls, 3.0)).estimate_seconds, 6.0,
+              1e-6);
+
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {4.0}));
+  const EstimateResponse repriced = service.Estimate(Request("a", cls, 3.0));
+  ASSERT_TRUE(repriced.ok());
+  EXPECT_NEAR(repriced.estimate_seconds, 12.0, 1e-6);
+}
+
+// A reading past its TTL is still served, flagged stale on every answer; a
+// fresh probe clears the flag on the next one.
+TEST(EstimationServiceTest, StaleProbeIsFlaggedOnEveryAnswer) {
+  FakeClock clock;
+  EstimationServiceConfig config;
+  config.probe_ttl = seconds(5);
+  config.clock = &clock;
+  EstimationService service(config);
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+  EXPECT_FALSE(service.Estimate(Request("a", cls, 3.0)).stale_probe);
+
+  clock.Advance(seconds(10));  // past the 5 s TTL
+  for (int i = 0; i < 2; ++i) {
+    const EstimateResponse stale = service.Estimate(Request("a", cls, 3.0));
+    ASSERT_TRUE(stale.ok());
+    EXPECT_TRUE(stale.stale_probe);
+    EXPECT_NEAR(stale.estimate_seconds, 6.0, 1e-6);
+  }
+  EXPECT_EQ(service.Stats().probe_cache_stale, 2u);
+
+  ASSERT_TRUE(service.ProbeNow("a"));
+  EXPECT_FALSE(service.Estimate(Request("a", cls, 3.0)).stale_probe);
+}
+
+// The stale-model flag shows on the first answer after each flip.
+TEST(EstimationServiceTest, StaleModelFlagFlipsTakeEffectAtOnce) {
+  EstimationService service;
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0}));
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  EXPECT_FALSE(service.Estimate(Request("a", cls, 3.0)).stale_model);
+  service.SetModelStale("a", cls, true);
+  EXPECT_TRUE(service.Estimate(Request("a", cls, 3.0)).stale_model);
+  service.SetModelStale("a", cls, false);
+  EXPECT_FALSE(service.Estimate(Request("a", cls, 3.0)).stale_model);
+}
+
+TEST(EstimationServiceTest, AnswersStayExactAcrossFlappingStates) {
+  EstimationService service;
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  std::atomic<double> probe_value{0.5};
+  service.RegisterSite("a", [&] { return probe_value.load(); });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  for (int i = 0; i < 500; ++i) {
+    if (i % 100 == 50) {
+      // Flap the contention state mid-stream.
+      probe_value.store(probe_value.load() < 1.0 ? 1.5 : 0.5);
+      ASSERT_TRUE(service.ProbeNow("a"));
+    }
+    const double x0 = 1.0 + static_cast<double>(i % 7);
+    const double slope = probe_value.load() < 1.0 ? 2.0 : 5.0;
+    const EstimateResponse response = service.Estimate(Request("a", cls, x0));
+    ASSERT_TRUE(response.ok());
+    ASSERT_NEAR(response.estimate_seconds, slope * x0, 1e-6)
+        << "iteration " << i;
+  }
+}
+
+// A 13-feature vector, one wider than the join class's 12 variables, is
+// priced: the extra feature is never read, so single and batch answers
+// match the 12-feature request bit for bit.
+TEST(EstimationServiceTest, WiderThanTheJoinClassIsPricedExactly) {
+  const auto cls = QueryClassId::kJoinNoIndex;
+  EstimationService service;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  service.RegisterSite("a", [] { return 0.5; });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  const EstimateRequest join = Request("a", cls, 3.0);
+  ASSERT_EQ(join.features.size(), core::VariableSet::kJoinSize);
+  const EstimateResponse reference = service.Estimate(join);
+  ASSERT_TRUE(reference.ok());
+  EstimateRequest wide = join;
+  wide.features.push_back(1.0);
+  ASSERT_EQ(wide.features.size(), 13u);
+  for (int i = 0; i < 3; ++i) {
+    const EstimateResponse single = service.Estimate(wide);
+    EXPECT_EQ(std::bit_cast<uint64_t>(single.estimate_seconds),
+              std::bit_cast<uint64_t>(reference.estimate_seconds));
+    EXPECT_EQ(single.state, reference.state);
+    const std::vector<EstimateResponse> batch = service.EstimateBatch({wide});
+    EXPECT_EQ(std::bit_cast<uint64_t>(batch[0].estimate_seconds),
+              std::bit_cast<uint64_t>(reference.estimate_seconds));
+  }
+}
+
+// Concurrent hammer: estimate threads against state flips, model
+// re-registrations and stale-flag flips. Run under tsan/asan (tier-2).
+TEST(EstimationServiceTest, ConcurrentRegisterAndFlipStorm) {
+  EstimationService service;
+  const auto cls = QueryClassId::kUnarySeqScan;
+  service.RegisterModel("a", test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+  std::atomic<double> probe_value{0.5};
+  service.RegisterSite("a", [&] { return probe_value.load(); });
+  ASSERT_TRUE(service.ProbeNow("a"));
+
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    int i = 0;
+    while (!stop.load()) {
+      probe_value.store((i % 2 == 0) ? 1.5 : 0.5);
+      service.ProbeNow("a");
+      if (i % 5 == 0) {
+        service.RegisterModel("a",
+                              test::PiecewiseLinearModel(cls, {2.0, 5.0}));
+      }
+      service.SetModelStale("a", cls, i % 3 == 0);
+      ++i;
+      std::this_thread::yield();
+    }
+  });
+
+  std::vector<std::thread> estimators;
+  std::atomic<uint64_t> served{0};
+  for (int t = 0; t < 3; ++t) {
+    estimators.emplace_back([&, t] {
+      for (int i = 0; i < 2000; ++i) {
+        const double x0 = 1.0 + static_cast<double>((i + t) % 5);
+        const EstimateResponse response =
+            service.Estimate(Request("a", cls, x0));
+        if (response.ok()) {
+          // The answer matches the per-state equation of the state that
+          // priced it, exactly.
+          const double slope = response.state == 0 ? 2.0 : 5.0;
+          ASSERT_NEAR(response.estimate_seconds, slope * x0, 1e-6)
+              << "state " << response.state << " x0=" << x0;
+          served.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : estimators) thread.join();
+  stop.store(true);
+  churn.join();
+  EXPECT_GT(served.load(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fleet-scale federation soak: hundreds of heterogeneous sites under the
-// full serving stack (estimation service + estimate cache + circuit
-// breakers + refresh daemon + streaming-RLS adaptation) while
+// full serving stack (estimation service + lock-free probe readings +
+// circuit breakers + refresh daemon + streaming-RLS adaptation) while
 //
 //   * a regime driver runs correlated contention — a phase-staggered
 //     diurnal sweep plus shared-storage spikes that lift whole site groups
@@ -9,7 +9,8 @@
 //     negative, throwing, delayed) so breakers open and close for real;
 //   * a churn thread continuously retires and re-registers the tail of the
 //     fleet — UnregisterSite racing registration, probing, estimate
-//     serving, cache invalidation and in-flight re-derivations.
+//     serving and in-flight re-derivations, with retired trackers freed
+//     from retired tracker maps while readers pin the epoch.
 //
 // Throughout, the harness checks the lifecycle invariants the runtime
 // promises (DESIGN §7):
@@ -17,10 +18,11 @@
 //   * every counter row in StatsCounterFields() is monotone across churn
 //     (retired trackers fold their totals into the service) — rows of kind
 //     kGauge legitimately move both ways and are skipped;
-//   * stats conservation: with a cache-enabled service and every request
-//     tracker-resolved (probing_cost < 0), requests ==
-//     estimate_cache_hits + estimate_cache_misses, and the sampled
-//     hit-latency path can never record more samples than requests;
+//   * stats conservation: every request is tracker-resolved
+//     (probing_cost < 0) and full-width, so each is counted exactly once —
+//     requests == probe_cache_hits + probe_cache_stale +
+//     probe_cache_misses + no_model — and records exactly one latency
+//     sample: count(estimate_latency) == requests;
 //   * served model generations never regress on stable sites (streaming
 //     adaptation only moves lineages forward; only a full re-derivation —
 //     confined here to the churn domain — may reset them);
@@ -139,7 +141,6 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
   std::atomic<bool> faults_on{false};  // armed after the initial probe pass
 
   EstimationServiceConfig config;
-  config.cache.capacity_per_thread = 512;
   config.breaker.failure_threshold = 3;
   config.breaker.open_duration = milliseconds(100);
   config.breaker.half_open_successes = 1;
@@ -268,20 +269,17 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
   for (size_t t = 0; t < 4; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(seed ^ (0xead0ULL + t));
-      // Per-reader, per-(site, feature-key) generation watermarks over the
-      // stable domain. Per-reader because shared watermarks would race
-      // (read-check-update) and report false regressions. Per feature key
-      // because that is the grain the estimate cache guarantees: after a
-      // streaming adaptation swaps generation N -> N+1, entries for
-      // *unchanged* states legitimately keep serving their bit-identical
-      // response stamped N until invalidated — but any one key, once it
-      // has served N+1, can never fall back.
+      // Per-reader, per-site generation watermarks over the stable domain.
+      // Per-reader because shared watermarks would race (read-check-update)
+      // and report false regressions. Each pass pins a catalog snapshot at
+      // least as new as the reader's last, so once a site has served
+      // generation N+1 it can never serve N again.
       constexpr size_t kX0Values = 8;
-      std::vector<uint64_t> watermark(stable_count * kX0Values, 0);
+      std::vector<uint64_t> watermark(stable_count, 0);
       uint64_t local_requests = 0;
       while (!stop_readers.load(std::memory_order_relaxed)) {
-        // Bias half the traffic onto a hot set so the estimate cache sees
-        // genuine repeats between churn-driven catalog invalidations.
+        // Bias half the traffic onto a hot set: repeated keys between
+        // churn-driven catalog swaps.
         const size_t i =
             rng.Bernoulli(0.5)
                 ? static_cast<size_t>(rng.UniformInt(
@@ -295,7 +293,7 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
         request.site = fleet.spec(i).name;
         request.class_id = kCls;
         request.features = FeatureVector(x0);
-        request.probing_cost = -1.0;  // tracker-resolved: cache-countable
+        request.probing_cost = -1.0;  // tracker-resolved
         const EstimateResponse response = service.Estimate(request);
         ++local_requests;
 
@@ -320,7 +318,7 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
           // Stable lineages only move forward: streaming adaptation bumps
           // generations, and full re-derivations (which reset them) are
           // confined to the churn domain.
-          uint64_t& seen = watermark[i * kX0Values + x0_index];
+          uint64_t& seen = watermark[i];
           if (response.model_generation < seen) {
             gen_violations.fetch_add(1, std::memory_order_relaxed);
             ADD_FAILURE() << "generation regressed on " << request.site
@@ -437,16 +435,19 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
   // --- Conservation: the books balance exactly after quiescence. ----------
   const RuntimeStatsSnapshot quiesced = service.Stats();
   // Every estimate in this test (readers, adaptation drains, sweeps) is
-  // tracker-resolved on a cache-enabled service, so each one is a cache
-  // hit or a counted miss — no third bucket.
+  // tracker-resolved and full-width, so each one lands in exactly one of
+  // the probe outcomes or found no model — no other bucket.
   EXPECT_EQ(quiesced.requests,
-            quiesced.estimate_cache_hits + quiesced.estimate_cache_misses);
-  EXPECT_GT(quiesced.estimate_cache_hits, 0u);
+            quiesced.probe_cache_hits + quiesced.probe_cache_stale +
+                quiesced.probe_cache_misses + quiesced.no_model);
+  EXPECT_GT(quiesced.probe_cache_hits, 0u);
   EXPECT_EQ(quiesced.invalid_requests, 0u);
-  // The sampled hit-latency path records one weighted sample per full hit
-  // window: the histogram can never claim more estimates than were served.
-  EXPECT_GT(quiesced.estimate_latency.count, 0u);
-  EXPECT_LE(quiesced.estimate_latency.count, quiesced.requests);
+  // Every priced request records exactly one latency sample.
+  EXPECT_EQ(quiesced.estimate_latency.count, quiesced.requests);
+  // The retired response-cache rows stay on the wire and read 0.
+  EXPECT_EQ(quiesced.estimate_cache_hits, 0u);
+  EXPECT_EQ(quiesced.estimate_cache_misses, 0u);
+  EXPECT_EQ(quiesced.estimate_cache_invalidations, 0u);
   EXPECT_EQ(quiesced.sites_retired, churn_cycles.load());
   EXPECT_GT(quiesced.probes, 0u);
 
@@ -481,9 +482,7 @@ TEST(RuntimeSoakTest, RegistrationStormServesCoherentStatuses) {
   fleet_config.seed = 0xc01d57a7ULL;
   sim::Fleet fleet(fleet_config);
 
-  EstimationServiceConfig config;
-  config.cache.capacity_per_thread = 128;
-  EstimationService service(config);
+  EstimationService service;
 
   // One representative model per distinct state count; registration copies.
   std::map<int, core::CostModel> prototypes;

@@ -55,12 +55,10 @@ TEST(LatencyHistogramTest, RecordNWithHugeCountStaysConsistent) {
 }
 
 TEST(LatencyHistogramTest, MajorityMassDrivesTheMedian) {
-  // Pins the cached-path latency fix: the estimate hot path samples one in
-  // 64 cache hits and records it with RecordN(latency, 64), so hit mass has
-  // to dominate the quantiles. Before the fix, hits recorded nothing and
-  // "hot cached" p50 reported the cold-miss latency — *above* the uncached
-  // path. 99% fast mass + 1% slow mass must put p50 in the fast bucket and
-  // p99 at the fast/slow boundary, never the reverse.
+  // Weighted samples carry their full mass into the quantiles: a batch pass
+  // records its amortized per-item latency with RecordN(latency, items), so
+  // 99% fast mass + 1% slow mass must put p50 in the fast bucket and p99 at
+  // the fast/slow boundary, never the reverse.
   LatencyHistogram h;
   for (int i = 0; i < 98; ++i) h.RecordN(nanoseconds(100), 64);
   h.RecordN(microseconds(10), 64);
@@ -95,20 +93,22 @@ TEST(LatencyHistogramTest, SnapAfterResetIsEmpty) {
   EXPECT_EQ(h.Snap().count, 1u);
 }
 
-TEST(RuntimeCountersTest, AggregateFoldsCacheHitsIntoRequests) {
+TEST(RuntimeCountersTest, AddRowsKeepsEachRowInItsOwnField) {
   RuntimeCounters counters;
   RuntimeCounters::Shard& shard = counters.Local();
-  shard.Add(RuntimeCounter::requests, 3);
-  shard.Add(RuntimeCounter::estimate_cache_hits, 5);
-  shard.Add(RuntimeCounter::estimate_cache_misses, 3);
+  for (size_t i = 0; i < kNumRuntimeCounters; ++i) {
+    shard.Add(static_cast<RuntimeCounter>(i), i + 1);
+  }
 
   RuntimeStatsSnapshot out;
   out.AddRows(counters.Sum());
-  // The hit path bumps only estimate_cache_hits; aggregation reconstructs
-  // the total request count.
-  EXPECT_EQ(out.requests, 8u);
-  EXPECT_EQ(out.estimate_cache_hits, 5u);
-  EXPECT_EQ(out.estimate_cache_misses, 3u);
+  // Every request is counted once, under `requests`: no row folds into
+  // another.
+  const auto fields = StatsCounterFields();
+  ASSERT_EQ(fields.size(), kNumRuntimeCounters);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(out.*fields[i].field, i + 1) << fields[i].name;
+  }
 }
 
 TEST(LatencyHistogramTest, PercentileOnePinsToHighestOccupiedBucket) {
