@@ -7,8 +7,9 @@
 //   batch   x1   — one thread, EstimateBatch() in chunks of kBatch
 //   batch   xN   — N reader threads, each batching its own slice
 //   batch   x8+w — 8 readers while a writer re-registers models (CoW swaps)
-//   batch   x8+r — 8 readers while a refresh daemon, fed a stream of
-//                  drifting feedback, continuously re-derives and swaps
+//   batch   x8+r — 8 readers while drifting feedback, escalated by an
+//                  adaptation controller, keeps a refresh daemon
+//                  re-deriving and swapping
 //   hot     x1   — one thread, Estimate() over a small working set of
 //                  requests cycled repeatedly
 //   compiled batch — one thread, EstimateBatch() over the hot working set:
@@ -93,6 +94,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <latch>
+#include <limits>
 #include <map>
 #include <string>
 #include <thread>
@@ -170,6 +172,18 @@ class BenchSource : public core::ObservationSource {
  private:
   Rng rng_;
 };
+
+// Feedback handling that only requests re-derivations: the fast tier never
+// publishes, and an error EWMA above 0.5 that has not improved for 8
+// reports escalates, so a badly served key asks the refresh daemon for a
+// refresh about every 9 reports.
+runtime::AdaptationConfig RefreshTriggerConfig() {
+  runtime::AdaptationConfig config;
+  config.min_updates_to_publish = std::numeric_limits<size_t>::max();
+  config.stall_window = 8;
+  config.stall_error_threshold = 0.5;
+  return config;
+}
 
 struct Scenario {
   std::string name;
@@ -277,17 +291,16 @@ Result Run(const Scenario& scenario,
   }
 
   // Refresh churn: a reporter thread feeds feedback whose observed costs
-  // always disagree with the model, so the daemon trips, re-derives and
-  // swaps continuously while the readers run.
+  // always disagree with the model through an adaptation controller it
+  // drains itself, so the controller escalates and the daemon re-derives
+  // and swaps (inline, on the reporter) continuously while the readers run.
   BenchSource refresh_source(99);
   std::unique_ptr<runtime::ModelRefreshDaemon> daemon;
+  std::unique_ptr<runtime::AdaptationController> controller;
   std::atomic<bool> reporter_stop{false};
   std::thread reporter;
   if (scenario.with_refresh) {
     runtime::ModelRefreshConfig refresh_config;
-    refresh_config.min_reports = 8;
-    refresh_config.drift_window = 8;
-    refresh_config.error_threshold = 0.5;
     refresh_config.refresh_cooldown = std::chrono::nanoseconds(0);
     refresh_config.rederive.build.algorithm =
         core::StateAlgorithm::kSingleState;
@@ -296,17 +309,23 @@ Result Run(const Scenario& scenario,
                                                            refresh_config);
     daemon->Watch("alpha", core::QueryClassId::kUnarySeqScan,
                   &refresh_source);
-    reporter = std::thread([&daemon, &reporter_stop] {
+    controller = std::make_unique<runtime::AdaptationController>(
+        service.get(), daemon.get(), RefreshTriggerConfig());
+    reporter = std::thread([&controller, &reporter_stop] {
       Rng rng(7);
-      std::vector<double> features(
-          core::VariableSet::ForClass(core::QueryClassId::kUnarySeqScan)
-              .size(),
-          0.0);
+      runtime::FeedbackReport report;
+      report.site = "alpha";
+      report.class_id = core::QueryClassId::kUnarySeqScan;
+      report.features.assign(
+          core::VariableSet::ForClass(report.class_id).size(), 0.0);
       while (!reporter_stop.load(std::memory_order_relaxed)) {
-        for (size_t j = 0; j < 3; ++j) features[j] = rng.Uniform(1.0, 10.0);
+        for (size_t j = 0; j < 3; ++j) {
+          report.features[j] = rng.Uniform(1.0, 10.0);
+        }
         // Deliberately off the model by far more than the threshold.
-        daemon->ReportObserved("alpha", core::QueryClassId::kUnarySeqScan,
-                               features, 5.0 * features[0]);
+        report.actual_cost = 5.0 * report.features[0];
+        controller->Record(report);
+        controller->DrainOnce();
       }
     });
   }
@@ -401,6 +420,7 @@ Result Run(const Scenario& scenario,
     reporter_stop.store(true);
     reporter.join();
     refreshes = daemon->Stats().refreshes_succeeded;
+    controller.reset();
     daemon.reset();  // drains any in-flight refresh before the service dies
   }
 
@@ -864,10 +884,11 @@ JitterOutcome RunJitterPlacement(size_t trials) {
 //   RLS arm       — an AdaptationController fed one feedback report per
 //                   served query (piggybacked on traffic; zero dedicated
 //                   probing observations). Convergence cost = reports folded.
-//   rederive arm  — a ModelRefreshDaemon watching the key the PR-6 way:
-//                   feedback only *triggers* the refresh (min_reports with
-//                   the error threshold), after which the daemon draws
-//                   sample_size fresh observations from the site to refit.
+//   rederive arm  — the same feedback through an AdaptationController
+//                   whose fast tier cannot publish: it only *triggers* the
+//                   refresh (an error stall, stall_window + 1 reports),
+//                   after which the daemon draws sample_size fresh
+//                   observations from the site to refit.
 //                   Convergence cost = trigger reports + sampled draws.
 //
 // adaptation_convergence_ratio_x = rederive cost / RLS cost (want >= 3).
@@ -916,10 +937,8 @@ class CountingDriftSource : public core::ObservationSource {
   uint64_t draws_ = 0;
 };
 
-// Both arms serve one site whose probe is pinned at 0.5 (state 0): the
-// rederive arm's trigger path prices reports against the site's published
-// probe, so an uncontrolled probe would land in a different state than the
-// drifted law was generated for and the error signal would read garbage.
+// Both arms serve one site whose probe is pinned at 0.5 (state 0), the
+// contention the drifted law and every report are generated at.
 std::unique_ptr<runtime::EstimationService> MakeDuelService() {
   runtime::EstimationServiceConfig config;
   config.probe_ttl = std::chrono::hours(1);
@@ -995,9 +1014,6 @@ AdaptationDuelOutcome RunAdaptationDuel() {
     auto service = MakeDuelService();
     // worker_threads 0: refreshes run inline.
     runtime::ModelRefreshConfig refresh_config;
-    refresh_config.min_reports = 8;
-    refresh_config.drift_window = 8;
-    refresh_config.error_threshold = 0.5;
     refresh_config.refresh_cooldown = std::chrono::nanoseconds(0);
     refresh_config.rederive.build.algorithm =
         core::StateAlgorithm::kSingleState;
@@ -1005,14 +1021,25 @@ AdaptationDuelOutcome RunAdaptationDuel() {
     runtime::ModelRefreshDaemon daemon(service.get(), refresh_config);
     CountingDriftSource source(313);
     daemon.Watch("alpha", cls, &source);
+    runtime::AdaptationController controller(service.get(), &daemon,
+                                             RefreshTriggerConfig());
     Rng rng(311);
-    std::vector<double> features(width, 0.0);
+    runtime::FeedbackReport report;
+    report.site = "alpha";
+    report.class_id = cls;
+    report.probing_cost = 0.5;
+    report.features.assign(width, 0.0);
     uint64_t reports = 0;
     while (reports < kObservationCap) {
-      for (size_t j = 0; j < 3; ++j) features[j] = rng.Uniform(1.0, 10.0);
-      // Refreshes run inline here (zero worker threads), so convergence can
-      // be checked right after the report that tripped the refresh.
-      daemon.ReportObserved("alpha", cls, features, DriftedTruth(features));
+      for (size_t j = 0; j < 3; ++j) {
+        report.features[j] = rng.Uniform(1.0, 10.0);
+      }
+      report.actual_cost = DriftedTruth(report.features);
+      // The drain escalates and the refresh runs inline here (zero worker
+      // threads), so convergence can be checked right after the report
+      // that triggered the refresh.
+      controller.Record(report);
+      controller.DrainOnce();
       ++reports;
       if (converged(*service)) {
         outcome.rederive_converged = true;

@@ -29,8 +29,7 @@ bool DriftMonitor::RebuildRecommended() const {
 
 std::optional<BuildReport> RederiveModel(QueryClassId class_id,
                                          ObservationSource& source,
-                                         const RederiveOptions& options,
-                                         const ObservationSet& recent) {
+                                         const RederiveOptions& options) {
   const VariableSet variables = VariableSet::ForClass(class_id);
   const int target =
       options.build.sample_size > 0
@@ -38,22 +37,15 @@ std::optional<BuildReport> RederiveModel(QueryClassId class_id,
           : RecommendedSampleSize(
                 static_cast<int>(variables.BasicIndices().size()),
                 options.build.expected_max_states);
-  const size_t reuse = std::min(
-      {recent.size(), options.max_reused,
-       static_cast<size_t>(static_cast<double>(target) *
-                           options.max_reused_fraction)});
-  const int fresh = std::max(1, target - static_cast<int>(reuse));
   // Draw through the failure-reporting interface: an unreachable site yields
   // nullopt and the caller keeps serving the old model. Programmer errors
   // inside the build pipeline still MSCM_CHECK-abort — they must not be
   // silently converted into "refresh skipped" (DESIGN §6).
-  std::optional<ObservationSet> drawn = TryDrawObservations(source, fresh);
+  std::optional<ObservationSet> drawn =
+      TryDrawObservations(source, std::max(1, target));
   if (!drawn.has_value()) return std::nullopt;
-  ObservationSet observations = std::move(*drawn);
-  observations.insert(observations.end(),
-                      recent.end() - static_cast<long>(reuse), recent.end());
   BuildReport report = BuildCostModelFromObservations(
-      class_id, std::move(observations), options.build);
+      class_id, std::move(*drawn), options.build);
   if (!std::isfinite(report.model.r_squared())) return std::nullopt;
   return report;
 }

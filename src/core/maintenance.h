@@ -92,29 +92,20 @@ class ManagedCostModel {
 };
 
 // Online re-derivation (the runtime refresh daemon's build step): a
-// failure-isolating wrapper over the model-building pipeline that can warm-
-// start from observations the serving path has already collected, so a
-// refresh pays for fewer fresh sample queries than a from-scratch build.
+// failure-isolating wrapper over the model-building pipeline.
 struct RederiveOptions {
   ModelBuildOptions build;
-  // Caps on prior (feedback) observations mixed into the training set:
-  // at most `max_reused` of them, and at most `max_reused_fraction` of the
-  // total sample — the rest is freshly drawn so the new model always sees
-  // the *current* environment.
-  size_t max_reused = 128;
-  double max_reused_fraction = 0.5;
 };
 
-// Draws a fresh sample from `source` (via ObservationSource::TryDraw), mixes
-// in the newest `recent` observations under the options' caps, and runs the
-// full pipeline. Returns nullopt instead of propagating failure: a source
+// Draws a fresh sample from `source` (via ObservationSource::TryDraw) and
+// runs the full pipeline on it, so the new model sees only the *current*
+// environment. Returns nullopt instead of propagating failure: a source
 // whose TryDraw fails or a degenerate fit (non-finite R²) must not take down
 // a background refresh — the caller keeps serving the old model. There is no
 // catch-all: programmer errors in the pipeline abort via MSCM_CHECK.
 std::optional<BuildReport> RederiveModel(QueryClassId class_id,
                                          ObservationSource& source,
-                                         const RederiveOptions& options,
-                                         const ObservationSet& recent = {});
+                                         const RederiveOptions& options);
 
 }  // namespace mscm::core
 

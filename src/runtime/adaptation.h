@@ -1,9 +1,10 @@
-// The fast tier of the two-tier model adaptation path (DESIGN.md §7).
+// The fast tier of the two-tier model adaptation path (DESIGN.md §7), and
+// the runtime's one feedback/drift detector.
 //
 // The ModelRefreshDaemon closes the paper's maintenance loop the expensive
-// way: when drift trips, it re-samples the site and re-derives the whole
-// model (variable selection, state partition, OLS fit). That is the right
-// tool when the *structure* moved — but most drift is parametric: the
+// way: on request, it re-samples the site and re-derives the whole model
+// (variable selection, state partition, OLS fit). That is the right tool
+// when the *structure* moved — but most drift is parametric: the
 // contention states still partition the probing cost correctly, the selected
 // variables are still the right ones, and only the coefficient values have
 // walked. For that case this controller maintains one recursive-least-squares
@@ -32,7 +33,8 @@
 //
 // Escalation — the slow tier: when the fast tier is not working, the
 // controller hands the key to the refresh daemon (RequestRefresh) instead of
-// continuing to chase it. Three triggers:
+// continuing to chase it. The daemon keeps no signal of its own, so these
+// are the only triggers of a re-derivation:
 //   * covariance blow-up: an RLS estimator latched blown_up() — the update
 //     stream stopped being numerically trustworthy;
 //   * error stall: the EWMA of the relative estimation error has not

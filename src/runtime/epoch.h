@@ -34,9 +34,10 @@
 // Retired objects are kept alive by type-erased shared_ptr keepalives, so
 // the domain composes with every snapshot the runtime already publishes as
 // shared_ptr (catalog, tracker map, stale-key set, probe reading): cold
-// readers keep using AtomicSharedPtr::load(), hot readers use the raw epoch
-// read, and the object dies only when both the keepalive chain and the
-// grace period agree.
+// readers copy the owning reference under the slot's mutex
+// (EpochPublished::load()), hot readers use the raw epoch read, and the
+// object dies only when both the keepalive chain and the grace period
+// agree.
 //
 // A keepalive's destructor may itself destroy an EpochPublished — a retired
 // tracker map can hold the last reference to a site tracker, whose reading
@@ -55,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/atomic_shared_ptr.h"
 #include "runtime/rmw_probe.h"
 #include "runtime/thread_registry.h"
 
@@ -134,7 +134,7 @@ class EpochGuard {
 
 // A published pointer with two read paths: a raw epoch-protected load for
 // the hot path (zero shared RMWs under an EpochGuard) and a shared_ptr
-// load for cold callers that need to hold the snapshot past any guard.
+// copy for cold callers that need to hold the snapshot past any guard.
 // Publish() is writer-serialized by the caller (every publisher in this
 // codebase already holds a writer/control mutex).
 template <typename T>
@@ -143,7 +143,7 @@ class EpochPublished {
   EpochPublished() : live_(nullptr) {}
 
   explicit EpochPublished(std::shared_ptr<const T> initial)
-      : shared_(initial), live_(initial.get()), keepalive_(std::move(initial)) {}
+      : live_(initial.get()), keepalive_(std::move(initial)) {}
 
   EpochPublished(const EpochPublished&) = delete;
   EpochPublished& operator=(const EpochPublished&) = delete;
@@ -169,27 +169,39 @@ class EpochPublished {
     return live_.load(std::memory_order_seq_cst);
   }
 
-  // Cold read: owning snapshot, valid past any guard (refcount RMWs).
-  std::shared_ptr<const T> load() const { return shared_.load(); }
+  // Cold read: owning snapshot, valid past any guard (a mutex and a
+  // refcount RMW).
+  std::shared_ptr<const T> load() const {
+    RmwProbe::Count(2);
+    std::lock_guard<std::mutex> lock(keepalive_mutex_);
+    return keepalive_;
+  }
 
   // Publishes `next` and retires the previous value into the epoch domain.
   // Caller serializes writers.
   void Publish(std::shared_ptr<const T> next) {
+    RmwProbe::Count(2);
     const T* raw = next.get();
-    shared_.store(next);
+    {
+      std::lock_guard<std::mutex> lock(keepalive_mutex_);
+      keepalive_.swap(next);
+    }
     live_.store(raw, std::memory_order_seq_cst);
-    std::shared_ptr<const T> old = std::exchange(keepalive_, std::move(next));
-    if (old) {
+    // `next` now holds the previous value; the domain frees it once the
+    // readers pinned before this publish have released.
+    if (next) {
       EpochDomain::Global().Retire(
-          std::shared_ptr<const void>(std::move(old)));
+          std::shared_ptr<const void>(std::move(next)));
     }
   }
 
  private:
-  AtomicSharedPtr<const T> shared_;  // cold path + TSan-clean fallback
-  std::atomic<const T*> live_;       // hot path, epoch-protected
-  // The currently published value, pinned so `live_` stays valid between
-  // Publish calls. Guarded by the caller's writer serialization.
+  std::atomic<const T*> live_;  // hot path, epoch-protected
+  // The currently published value: the cold path's owning reference, and
+  // the pin that keeps `live_` valid between Publish calls. The mutex
+  // orders load() copies against Publish's swap; the destructor needs no
+  // lock (no reader or publisher may outlive the slot).
+  mutable std::mutex keepalive_mutex_;
   std::shared_ptr<const T> keepalive_;
 };
 

@@ -199,8 +199,8 @@ class EstimationService {
 
   // Marks (or unmarks) the (site, class) model as stale: responses for the
   // key carry stale_model=true until a new model is registered or the flag
-  // is cleared. Set by the ModelRefreshDaemon when drift trips; registering
-  // a model for the key clears it automatically.
+  // is cleared. Set by the ModelRefreshDaemon when a refresh is requested;
+  // registering a model for the key clears it automatically.
   void SetModelStale(const std::string& site, core::QueryClassId class_id,
                      bool stale);
   bool IsModelStale(const std::string& site,

@@ -5,10 +5,11 @@
 // Register() for the same key would invalidate. Here, writers never mutate a
 // published catalog: Register() copies the current catalog, applies the
 // change, and atomically publishes the copy as a new
-// std::shared_ptr<const GlobalCatalog>. Readers grab the current snapshot
-// with one atomic shared_ptr load — no lock, and every Find() /
-// FindCompiled() pointer stays valid for as long as the reader holds the
-// snapshot, no matter how many registrations happen meanwhile. Because each
+// std::shared_ptr<const GlobalCatalog>. Hot readers pin the current
+// snapshot through the epoch domain (Read) and take no lock; cold readers
+// copy an owning reference (snapshot()). Every Find() / FindCompiled()
+// pointer stays valid for as long as the reader holds the snapshot, no
+// matter how many registrations happen meanwhile. Because each
 // registered CostModel carries its core::CompiledEquations serving table,
 // publishing a snapshot *is* publishing the compiled form: the runtime's
 // estimate paths call FindCompiled() on a pinned snapshot and evaluate the
@@ -41,8 +42,8 @@ class SnapshotCatalog {
   SnapshotCatalog(const SnapshotCatalog&) = delete;
   SnapshotCatalog& operator=(const SnapshotCatalog&) = delete;
 
-  // The current immutable snapshot. Never null; cheap (one atomic refcount
-  // bump); safe from any thread. Cold path — hot readers use Read().
+  // The current immutable snapshot. Never null; safe from any thread. Cold
+  // path (a short mutex hold and a refcount bump) — hot readers use Read().
   Snapshot snapshot() const { return current_.load(); }
 
   // Epoch-protected raw read for the estimate hot path: valid while `guard`

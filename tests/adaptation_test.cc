@@ -236,34 +236,80 @@ TEST(AdaptationControllerTest, ErrorStallEscalatesToRefreshDaemon) {
   config.min_updates_to_publish = 100000;  // never publish, only stall
   AdaptationController controller(&service, &daemon, config);
 
+  const double truth = 40.0 * 3.0 * 3.0;
+  const double before =
+      service.Estimate(Request("a", 3.0, 0.5)).estimate_seconds;
+
   // A quadratic environment a linear row cannot fit: the EWMA never
   // improves past the threshold, so the fast tier must hand over.
   Rng rng(29);
+  int reports = 0;
   for (int round = 0; round < 8 && controller.Stats().escalations == 0;
        ++round) {
     for (int i = 0; i < 16; ++i) {
       const double x = rng.Uniform(1.0, 10.0);
       controller.Record(Report("a", x, 40.0 * x * x, 0.5));
+      ++reports;
     }
     controller.DrainOnce();
   }
-  EXPECT_GE(controller.Stats().escalations, 1u);
-  EXPECT_GE(daemon.Stats().refreshes_scheduled, 1u);
+  // The stall shows within the first drained round: stall_window + 1
+  // reports after seeding.
+  EXPECT_LE(reports, 16);
+  EXPECT_EQ(controller.Stats().escalations, 1u);
+  EXPECT_EQ(daemon.Stats().refreshes_scheduled, 1u);
   // Inline pool (zero workers): the re-derivation already ran.
-  EXPECT_GE(daemon.Stats().refreshes_succeeded, 1u);
+  EXPECT_EQ(daemon.Stats().refreshes_succeeded, 1u);
+  EXPECT_EQ(daemon.Stats().refresh_failures, 0u);
   // Escalation resets the lineage; the next report re-seeds.
   EXPECT_FALSE(controller.Status("a", kCls).seeded);
+
+  // The swapped-in base fit serves: the key is fresh, the stale flag is
+  // gone, and the estimate moved to the sampled environment.
+  const EstimateResponse after = service.Estimate(Request("a", 3.0, 0.5));
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after.stale_model);
+  EXPECT_EQ(after.model_generation, 0u);
+  EXPECT_LT(std::abs(after.estimate_seconds - truth),
+            0.5 * std::abs(before - truth));
+  EXPECT_FALSE(service.IsModelStale("a", kCls));
+  EXPECT_EQ(daemon.Status("a", kCls).state, RefreshState::kFresh);
+  EXPECT_EQ(service.Stats().catalog_swaps, 2u);
 }
 
 TEST(AdaptationControllerTest, StateDistributionDriftEscalates) {
   EstimationService service;
   service.RegisterModel("a", test::PiecewiseLinearModel(kCls, {2.0, 5.0}));
+
+  ModelRefreshConfig daemon_config;
+  daemon_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;
+  daemon_config.rederive.build.sample_size = 60;
+  ModelRefreshDaemon daemon(&service, daemon_config);
+  // The re-derivation samples where the environment now lives: state 1's
+  // probing costs, at state 1's 5x law.
+  class : public core::ObservationSource {
+   public:
+    std::optional<core::Observation> TryDraw() override { return Draw(); }
+    core::Observation Draw() override {
+      core::Observation o;
+      o.probing_cost = rng_.Uniform(1.2, 1.8);
+      o.features.resize(core::VariableSet::ForClass(kCls).size());
+      for (auto& f : o.features) f = rng_.Uniform(1.0, 10.0);
+      o.cost = 5.0 * o.features[0];
+      return o;
+    }
+
+   private:
+    Rng rng_{37};
+  } source;
+  daemon.Watch("a", kCls, &source);
+
   AdaptationConfig config = TestConfig();
   config.min_updates_to_publish = 100000;
   config.min_samples_for_drift = 8;
   config.drift_window = 8;
   config.drift_threshold = 0.6;
-  AdaptationController controller(&service, nullptr, config);
+  AdaptationController controller(&service, &daemon, config);
 
   Rng rng(31);
   // Baseline: all state 0 (estimates are accurate — no error stall).
@@ -273,13 +319,27 @@ TEST(AdaptationControllerTest, StateDistributionDriftEscalates) {
   }
   controller.DrainOnce();
   EXPECT_EQ(controller.Stats().escalations, 0u);
-  // The environment moves to state 1: recent window fully disjoint.
+  EXPECT_EQ(daemon.Stats().refreshes_scheduled, 0u);
+  // The environment moves to state 1: recent window fully disjoint. The
+  // estimates there are accurate too, so only the drift signal can fire,
+  // and it fires on the first drain of the disjoint window.
   for (int i = 0; i < 8; ++i) {
     const double x = rng.Uniform(1.0, 10.0);
     controller.Record(Report("a", x, 5.0 * x, 1.5));
   }
   controller.DrainOnce();
-  EXPECT_GE(controller.Stats().escalations, 1u);
+  EXPECT_EQ(controller.Stats().escalations, 1u);
+  EXPECT_EQ(daemon.Stats().refreshes_scheduled, 1u);
+  EXPECT_EQ(daemon.Stats().refreshes_succeeded, 1u);
+
+  // The re-derived single-state model serves the drifted region.
+  const EstimateResponse after = service.Estimate(Request("a", 4.0, 1.5));
+  ASSERT_TRUE(after.ok());
+  EXPECT_NEAR(after.estimate_seconds, 20.0, 1e-3);
+  EXPECT_EQ(after.model_generation, 0u);
+  EXPECT_FALSE(after.stale_model);
+  EXPECT_EQ(daemon.Status("a", kCls).state, RefreshState::kFresh);
+  EXPECT_EQ(service.Stats().catalog_swaps, 2u);
 }
 
 TEST(AdaptationControllerTest, CovarianceBlowUpEscalates) {

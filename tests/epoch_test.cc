@@ -105,8 +105,9 @@ TEST(EpochTest, NestedGuardsPiggybackOnTheOutermostPin) {
   EXPECT_EQ(live.load(), 2);
 }
 
-// Concurrent hammer for the tier-2 sanitizers: readers dereference raw
-// pointers under guards while a publisher continuously swaps and retires.
+// Concurrent hammer for the tier-2 sanitizers: hot readers dereference raw
+// pointers under guards and cold readers hold owning load() snapshots
+// across later publishes, while a publisher continuously swaps and retires.
 // Every read must observe a fully-constructed value with its canary intact.
 TEST(EpochTest, ConcurrentReadersSurvivePublishStorm) {
   std::atomic<int> live{0};
@@ -123,6 +124,21 @@ TEST(EpochTest, ConcurrentReadersSurvivePublishStorm) {
           const Tracked* current = published.Read(guard);
           ASSERT_NE(current, nullptr);
           ASSERT_EQ(current->value, kCanary);
+        }
+      });
+    }
+    for (int t = 0; t < 2; ++t) {
+      readers.emplace_back([&] {
+        std::vector<std::shared_ptr<const Tracked>> held;
+        while (!stop.load(std::memory_order_relaxed)) {
+          held.push_back(published.load());
+          ASSERT_NE(held.back(), nullptr);
+          if (held.size() == 8) {
+            for (const auto& snapshot : held) {
+              ASSERT_EQ(snapshot->value, kCanary);
+            }
+            held.clear();
+          }
         }
       });
     }

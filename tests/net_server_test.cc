@@ -409,6 +409,76 @@ TEST(NetServerFeedbackTest, NoHandlerAcksAcceptedFalse) {
   EXPECT_GE(served.server().Stats().feedback_reports, 1u);
 }
 
+// The slow tier end to end: feedback frames the fast tier cannot absorb (it
+// never publishes here) stall the controller's error signal, the
+// controller escalates to the refresh daemon, and the re-derived model is
+// published and served over the wire.
+TEST(NetServerFeedbackTest, StalledFeedbackRederivesOverTheWire) {
+  ServedRuntimeConfig config = TestConfig();
+  config.refresh = true;
+  config.adaptation_config.min_updates_to_publish =
+      std::numeric_limits<size_t>::max();
+  config.adaptation_config.stall_window = 8;
+  config.adaptation_config.stall_error_threshold = 0.5;
+  config.adaptation_config.drain_interval = std::chrono::milliseconds(5);
+  ServedRuntime served(config);
+  std::string error;
+  ASSERT_TRUE(served.Start(&error)) << error;
+
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", served.port()));
+  const EstimateRequest req = ValidRequest();
+  EstimateResponse before;
+  ASSERT_TRUE(client.Estimate(req, &before).ok());
+  ASSERT_EQ(before.status, EstimateStatus::kOk);
+  WireStats stats_before;
+  ASSERT_TRUE(client.Stats(&stats_before).ok());
+
+  runtime::FeedbackReport report;
+  report.site = req.site;
+  report.class_id = req.class_id;
+  report.features = req.features;
+  report.actual_cost = 3.0 * before.estimate_seconds;
+  report.probing_cost = before.probing_cost;
+  report.model_generation = before.model_generation;
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline &&
+         served.daemon()->Stats().refreshes_succeeded == 0) {
+    for (int i = 0; i < 16; ++i) {
+      bool accepted = false;
+      const RpcStatus status = client.ReportActual(report, &accepted);
+      ASSERT_TRUE(status.ok()) << status.message;
+      EXPECT_TRUE(accepted);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_GE(served.adaptation()->Stats().escalations, 1u);
+  ASSERT_GE(served.daemon()->Stats().refreshes_succeeded, 1u)
+      << "no re-derivation before deadline: "
+      << served.daemon()->Stats().ToString();
+  EXPECT_EQ(served.adaptation()->Stats().adaptations_published, 0u);
+
+  WireStats stats_after;
+  ASSERT_TRUE(client.Stats(&stats_after).ok());
+  EXPECT_GT(stats_after.counters.at("catalog_swaps"),
+            stats_before.counters.at("catalog_swaps"));
+
+  // The re-derived base fit serves: a new estimate, no longer flagged
+  // stale.
+  EstimateResponse after;
+  do {
+    ASSERT_TRUE(client.Estimate(req, &after).ok());
+    if (after.status == EstimateStatus::kOk && !after.stale_model) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
+  ASSERT_EQ(after.status, EstimateStatus::kOk);
+  EXPECT_FALSE(after.stale_model);
+  EXPECT_EQ(after.model_generation, 0u);
+  EXPECT_NE(after.estimate_seconds, before.estimate_seconds);
+}
+
 TEST_F(NetServerTest, BatchResponsesCarryGenerationOverWire) {
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", served_->port()));

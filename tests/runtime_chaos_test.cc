@@ -1,7 +1,8 @@
 // Chaos stress for the hardened failure paths: a seeded FaultInjector drives
 // every fault mode at once — thrown probes, NaN/Inf/negative costs, latency
 // spikes, and hangs — through the background probers, explicit probes, and
-// the refresh daemon's sampling path, while reader threads estimate
+// the refresh daemon's sampling path (fed by an adaptation controller's
+// escalations), while reader threads estimate
 // concurrently. The invariant under all of it: a served estimate is finite,
 // a served probing cost is finite and non-negative, and nothing crashes,
 // wedges, or leaks a probe thread. Run under both sanitizers:
@@ -14,12 +15,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "runtime/adaptation.h"
 #include "runtime/estimation_service.h"
 #include "runtime/model_refresh.h"
 #include "sim/fault_injector.h"
@@ -119,8 +122,6 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   sim::FaultyObservationSource faulty_alpha(&inner_alpha, &injector);
   sim::FaultyObservationSource faulty_beta(&inner_beta, &injector);
   ModelRefreshConfig refresh_config;
-  refresh_config.min_reports = 16;
-  refresh_config.drift_window = 16;
   refresh_config.refresh_cooldown = milliseconds(1);
   refresh_config.initial_backoff = milliseconds(1);
   refresh_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;
@@ -129,6 +130,17 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   ModelRefreshDaemon daemon(&service, refresh_config);
   daemon.Watch("alpha", kCls, &faulty_alpha);
   daemon.Watch("beta", kCls, &faulty_beta);
+
+  // Feedback reaches the daemon the served way: through a draining
+  // adaptation controller that escalates error stalls. The fast tier never
+  // publishes, so a stall shows every stall_window + 1 reports of a key.
+  AdaptationConfig adapt_config;
+  adapt_config.min_updates_to_publish = std::numeric_limits<size_t>::max();
+  adapt_config.stall_window = 8;
+  adapt_config.stall_error_threshold = 0.5;
+  adapt_config.drain_interval = milliseconds(1);
+  adapt_config.start_thread = true;
+  AdaptationController controller(&service, &daemon, adapt_config);
 
   std::atomic<bool> corrupted{false};
   std::vector<std::thread> threads;
@@ -174,15 +186,20 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
     });
   }
 
-  // Reporters: drive the refresh daemon so faulted sampling paths run
-  // concurrently with everything else.
+  // Reporters: observed costs 3x the 2x law that the probed state and every
+  // re-derived model price, so the controller keeps escalating and faulted
+  // sampling paths run concurrently with everything else.
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&, t] {
       Rng rng(300 + static_cast<uint64_t>(t));
+      FeedbackReport report;
+      report.class_id = kCls;
       for (int i = 0; i < kReportsPerReporter && !corrupted.load(); ++i) {
-        const std::string& site = sites[(i + t) % sites.size()];
         const double x = rng.Uniform(1.0, 10.0);
-        daemon.ReportObserved(site, kCls, FeatureVector(x), 2.0 * x);
+        report.site = sites[(i + t) % sites.size()];
+        report.features = FeatureVector(x);
+        report.actual_cost = 6.0 * x;
+        controller.Record(report);
         if (i % 16 == 0) std::this_thread::sleep_for(milliseconds(1));
       }
     });
@@ -198,6 +215,8 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   });
 
   for (auto& t : threads) t.join();
+  // Fold the last buffered reports in before the counters are read.
+  controller.Stop();
 
   // Unblock anything still parked in an injected hang (abandoned probe
   // threads, an in-flight refresh sample) before tearing down the daemon
@@ -213,6 +232,7 @@ TEST(RuntimeChaosTest, AllFaultModesConcurrentlyNeverCorruptEstimates) {
   EXPECT_GT(stats.invalid_requests, 0u);
   EXPECT_GT(injector.injected(sim::FaultKind::kThrow), 0u);
   EXPECT_GT(injector.injected(sim::FaultKind::kNaN), 0u);
+  EXPECT_GT(controller.Stats().escalations, 0u);
   for (const std::string& site : sites) {
     const ProbeReading reading = service.CurrentProbe(site);
     ASSERT_TRUE(reading.has_value) << site;

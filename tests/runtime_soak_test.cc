@@ -147,7 +147,6 @@ TEST(RuntimeSoakTest, FleetChurnSoakHoldsLifecycleInvariants) {
   EstimationService service(config);
 
   ModelRefreshConfig refresh_config;
-  refresh_config.min_reports = 16;
   refresh_config.max_attempts = 1;
   refresh_config.refresh_cooldown = milliseconds(200);
   refresh_config.rederive.build.algorithm = core::StateAlgorithm::kSingleState;

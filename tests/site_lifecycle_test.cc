@@ -337,10 +337,7 @@ TEST(SiteLifecycleTest, UnwatchSiteStopsReportsAndRefuseRefresh) {
   EXPECT_FALSE(daemon.Status("a", kCls).watched);
   // Unwatching clears the key's stale flag: nothing will refresh it now.
   EXPECT_FALSE(service.IsModelStale("a", kCls));
-  // Straggling feedback for the unwatched key is ignored, not resurrected.
-  const uint64_t ignored_before = daemon.Stats().ignored_reports;
-  daemon.ReportObserved("a", kCls, FeatureVector(2.0), 4.0);
-  EXPECT_EQ(daemon.Stats().ignored_reports, ignored_before + 1);
+  // A straggling request for the unwatched key is refused, not resurrected.
   EXPECT_FALSE(daemon.RequestRefresh("a", kCls));
 }
 
