@@ -6,8 +6,9 @@
 // The data here is one-dimensional (sampled probing-query costs). With
 // centroid linkage in 1-D, the closest pair of centroids is always adjacent
 // in sorted order, so the implementation keeps clusters sorted and only
-// examines adjacent pairs — O(n log n + k·n) overall and exactly equivalent
-// to the general algorithm.
+// examines adjacent pairs, whose gaps it keeps in a min-heap — O(n log n)
+// overall and exactly equivalent to the general algorithm. Equal gaps merge
+// the leftmost pair first.
 
 #ifndef MSCM_CLUSTER_HIERARCHICAL_H_
 #define MSCM_CLUSTER_HIERARCHICAL_H_

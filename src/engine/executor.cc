@@ -31,7 +31,8 @@ size_t DistinctPages(const Table& table, std::span<const RowId> row_ids) {
 // rows. A slot with count 0 is free, so every int64 key fits, and a lookup
 // that ends on a free slot reads count 0. The only data-dependent branch is
 // the step past a slot holding another key, so the capacity bounds how often
-// it mispredicts: at 2x the sampled G3 joins counted ~30% slower.
+// it mispredicts: at 2x the sampled G3 joins counted ~30% slower. Used only
+// for key ranges too wide for JoinMatches' dense array.
 class KeyCounts {
  public:
   explicit KeyCounts(size_t build_rows)
@@ -66,6 +67,57 @@ class KeyCounts {
   size_t mask_;
   int shift_;
 };
+
+// One side of an equijoin: a table's key column and its qualified rows.
+struct JoinSide {
+  const Table& table;
+  size_t column;
+  const std::vector<RowId>& ids;
+};
+
+// Matches of the equijoin between two sides' qualified rows. Only keys in
+// [lo, hi], the two columns' common value range read from their exact
+// ColumnStats, can match; disjoint ranges match nothing. When hi - lo is
+// below the two tables' rows, the smaller qualified side's keys are counted
+// in a dense uint32 array indexed by key - lo (never larger than the two
+// selection vectors): a key outside [lo, hi] lands in one clamp slot past
+// the end, which is zeroed between the build and the probe pass, so the
+// index is one unsigned subtract and a min, with no branch. Wider ranges
+// count in KeyCounts.
+size_t JoinMatches(const JoinSide& left, const JoinSide& right) {
+  const ColumnStats& ls = left.table.column_stats(left.column);
+  const ColumnStats& rs = right.table.column_stats(right.column);
+  const int64_t lo = std::max(ls.min, rs.min);
+  const int64_t hi = std::min(ls.max, rs.max);
+  if (lo > hi) return 0;
+  const bool build_left = left.ids.size() <= right.ids.size();
+  const JoinSide& build = build_left ? left : right;
+  const JoinSide& probe = build_left ? right : left;
+  const std::vector<int64_t>& build_keys = build.table.column(build.column);
+  const std::vector<int64_t>& probe_keys = probe.table.column(probe.column);
+
+  // Unsigned: two int64 columns can span more than INT64_MAX.
+  const uint64_t width =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (width < left.table.num_rows() + right.table.num_rows()) {
+    const uint64_t clamp = width + 1;
+    const auto slot = [lo, clamp](int64_t key) {
+      return std::min(static_cast<uint64_t>(key) - static_cast<uint64_t>(lo),
+                      clamp);
+    };
+    std::vector<uint32_t> counts(clamp + 1);
+    for (RowId id : build.ids) ++counts[slot(build_keys[id])];
+    counts[clamp] = 0;
+    size_t matches = 0;
+    for (RowId id : probe.ids) matches += counts[slot(probe_keys[id])];
+    return matches;
+  }
+  KeyCounts counts(build.ids.size());
+  for (RowId id : build.ids) counts.Add(build_keys[id]);
+  size_t matches = 0;
+  for (RowId id : probe.ids) matches += counts.Count(probe_keys[id]);
+  return matches;
+}
 
 double Log2Safe(double x) { return x <= 2.0 ? 1.0 : std::log2(x); }
 
@@ -198,22 +250,11 @@ JoinExecution Executor::ExecuteJoin(const JoinQuery& query,
   exec.left_qualified = left_ids.size();
   exec.right_qualified = right_ids.size();
 
-  // Real result cardinality by counting the smaller qualified side's keys
-  // (independent of the costed join method — the answer is the same).
-  {
-    const bool build_left = left_ids.size() <= right_ids.size();
-    const std::vector<int64_t>& build_keys = (build_left ? left : right)->column(
-        static_cast<size_t>(build_left ? query.left_column : query.right_column));
-    const std::vector<int64_t>& probe_keys = (build_left ? right : left)->column(
-        static_cast<size_t>(build_left ? query.right_column : query.left_column));
-    const std::vector<RowId>& build_ids = build_left ? left_ids : right_ids;
-    const std::vector<RowId>& probe_ids = build_left ? right_ids : left_ids;
-    KeyCounts counts(build_ids.size());
-    for (RowId id : build_ids) counts.Add(build_keys[id]);
-    size_t result = 0;
-    for (RowId id : probe_ids) result += counts.Count(probe_keys[id]);
-    exec.result_rows = result;
-  }
+  // Real result cardinality (independent of the costed join method — the
+  // answer is the same).
+  exec.result_rows = JoinMatches(
+      {*left, static_cast<size_t>(query.left_column), left_ids},
+      {*right, static_cast<size_t>(query.right_column), right_ids});
 
   const double nl = static_cast<double>(left_ids.size());
   const double nr = static_cast<double>(right_ids.size());

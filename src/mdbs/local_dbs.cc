@@ -46,9 +46,15 @@ LocalDbs::LocalDbs(const LocalDbsConfig& config)
       database_(MakeDatabase(config.tables, rng_)),
       executor_(&database_),
       load_builder_(config.load, rng_.NextUint64()),
-      monitor_(config.machine, rng_.NextUint64()),
-      probing_scan_(MakeProbingScan()),
-      probing_index_range_(MakeProbingIndexRange()) {}
+      monitor_(config.machine, rng_.NextUint64()) {
+  // The probing queries read only database_ and the planner rules, neither
+  // of which changes after construction, and execution draws no random
+  // numbers: their work is the same on every run, so it is computed once.
+  const engine::SelectQuery scan = MakeProbingScan();
+  const engine::SelectQuery range = MakeProbingIndexRange();
+  probing_work_ = executor_.ExecuteSelect(scan, PlanSelect(scan)).work;
+  probing_work_ += executor_.ExecuteSelect(range, PlanSelect(range)).work;
+}
 
 double LocalDbs::CostOf(const engine::WorkCounters& work) {
   sim::SlowdownFactors slowdown = sim::ComputeSlowdown(
@@ -83,13 +89,7 @@ LocalDbs::JoinOutcome LocalDbs::RunJoin(const engine::JoinQuery& query) {
 }
 
 double LocalDbs::RunProbingQuery() {
-  const engine::SelectExecution scan =
-      executor_.ExecuteSelect(probing_scan_, PlanSelect(probing_scan_));
-  const engine::SelectExecution range = executor_.ExecuteSelect(
-      probing_index_range_, PlanSelect(probing_index_range_));
-  engine::WorkCounters work = scan.work;
-  work += range.work;
-  const double elapsed = CostOf(work);
+  const double elapsed = CostOf(probing_work_);
   PassTime(elapsed);
   return elapsed;
 }

@@ -53,7 +53,9 @@ class LocalDbs {
   JoinOutcome RunJoin(const engine::JoinQuery& query);
 
   // Runs the standard probing query and returns its observed cost — the
-  // paper's gauge of the current system contention level (§3.1).
+  // paper's gauge of the current system contention level (§3.1). Its work
+  // is fixed (computed once, at construction); only its cost under the
+  // current contention varies.
   double RunProbingQuery();
 
   // Current OS statistics as the environment monitor reports them.
@@ -101,8 +103,8 @@ class LocalDbs {
   engine::Executor executor_;
   sim::LoadBuilder load_builder_;
   sim::SystemMonitor monitor_;
-  engine::SelectQuery probing_scan_;
-  engine::SelectQuery probing_index_range_;
+  // Summed work of the two probing queries (see RunProbingQuery).
+  engine::WorkCounters probing_work_;
   sim::EnvironmentShift shift_;
   double simulated_time_ = 0.0;
 };

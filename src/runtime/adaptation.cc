@@ -36,7 +36,8 @@ std::string AdaptationStats::ToString() const {
       buf, sizeof(buf),
       "accepted=%llu dropped=%llu rejected=%llu drained=%llu ignored=%llu "
       "updates_applied=%llu updates_rejected=%llu adaptations_published=%llu "
-      "escalations=%llu lost_races=%llu lineage_resets=%llu "
+      "escalations=%llu escalations_refused=%llu lost_races=%llu "
+      "lineage_resets=%llu "
       "stale_gen_discarded=%llu stale_gen_downweighted=%llu "
       "max_generation_lag=%llu",
       static_cast<unsigned long long>(accepted),
@@ -48,6 +49,7 @@ std::string AdaptationStats::ToString() const {
       static_cast<unsigned long long>(updates_rejected),
       static_cast<unsigned long long>(adaptations_published),
       static_cast<unsigned long long>(escalations),
+      static_cast<unsigned long long>(escalations_refused),
       static_cast<unsigned long long>(lost_races),
       static_cast<unsigned long long>(lineage_resets),
       static_cast<unsigned long long>(stale_gen_discarded),
@@ -181,18 +183,19 @@ size_t AdaptationController::DrainOnce() {
 
   // Post-pass: escalate stalled groups, publish the rest. Escalation wins —
   // publishing rows from a lineage we just declared broken would only delay
-  // the re-derivation's correction. Unseeded groups (reset by a lost race or
-  // lineage orphaning on an earlier pass) are erased rather than kept: the
-  // next report for the key re-inserts and re-seeds, and a retired site's
-  // key must not pin an empty Group forever.
+  // the re-derivation's correction. A refused escalation keeps its group:
+  // no re-derivation is coming, so its accumulators keep adapting and it
+  // asks again on a later pass while the evidence persists. Unseeded groups
+  // (reset by a lost race or lineage orphaning on an earlier pass) are
+  // erased rather than kept: the next report for the key re-inserts and
+  // re-seeds, and a retired site's key must not pin an empty Group forever.
   for (auto it = groups_.begin(); it != groups_.end();) {
     Group& group = it->second;
     if (!group.seeded) {
       it = groups_.erase(it);
       continue;
     }
-    if (group.blown || ShouldEscalate(group)) {
-      Escalate(it->first, group);
+    if ((group.blown || ShouldEscalate(group)) && Escalate(it->first)) {
       it = groups_.erase(it);
       continue;
     }
@@ -403,16 +406,17 @@ bool AdaptationController::ShouldEscalate(const Group& group) const {
   return false;
 }
 
-void AdaptationController::Escalate(const std::pair<std::string, int>& key,
-                                    Group& group) {
-  escalations_.fetch_add(1, std::memory_order_relaxed);
-  if (daemon_ != nullptr) {
-    daemon_->RequestRefresh(key.first,
-                            static_cast<core::QueryClassId>(key.second));
+bool AdaptationController::Escalate(const std::pair<std::string, int>& key) {
+  if (daemon_ != nullptr &&
+      !daemon_->RequestRefresh(key.first,
+                               static_cast<core::QueryClassId>(key.second))) {
+    escalations_refused_.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
   // Whatever model the slow path publishes starts a new lineage; the caller
   // erases the group and the next report re-seeds from the new model.
-  group = Group{};
+  escalations_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void AdaptationController::MaybePublish(
@@ -522,6 +526,8 @@ AdaptationStats AdaptationController::Stats() const {
   stats.adaptations_published =
       adaptations_published_.load(std::memory_order_relaxed);
   stats.escalations = escalations_.load(std::memory_order_relaxed);
+  stats.escalations_refused =
+      escalations_refused_.load(std::memory_order_relaxed);
   stats.lost_races = lost_races_.load(std::memory_order_relaxed);
   stats.lineage_resets = lineage_resets_.load(std::memory_order_relaxed);
   stats.stale_gen_discarded =

@@ -33,8 +33,10 @@
 //
 // Escalation — the slow tier: when the fast tier is not working, the
 // controller hands the key to the refresh daemon (RequestRefresh) instead of
-// continuing to chase it. The daemon keeps no signal of its own, so these
-// are the only triggers of a re-derivation:
+// continuing to chase it; if the daemon refuses (cooldown, backoff, a
+// refresh in flight, a degraded site), the key keeps its accumulators and
+// asks again on a later drain. The daemon keeps no signal of its own, so
+// these are the only triggers of a re-derivation:
 //   * covariance blow-up: an RLS estimator latched blown_up() — the update
 //     stream stopped being numerically trustworthy;
 //   * error stall: the EWMA of the relative estimation error has not
@@ -124,7 +126,10 @@ struct AdaptationStats {
   uint64_t updates_applied = 0;   // RLS updates folded into an estimator
   uint64_t updates_rejected = 0;  // RLS guard rejections (near-singular gain)
   uint64_t adaptations_published = 0;  // row swaps through ApplyAdaptedModel
-  uint64_t escalations = 0;       // keys handed to the refresh daemon
+  uint64_t escalations = 0;       // refreshes the daemon scheduled
+  // Escalations the daemon refused (cooldown, backoff, a refresh in flight,
+  // a degraded site); the key keeps its accumulators and asks again.
+  uint64_t escalations_refused = 0;
   uint64_t lost_races = 0;        // publishes beaten by an external swap
   uint64_t lineage_resets = 0;    // accumulators orphaned by a new lineage
   // Generation-aware weighting (see AdaptationConfig): stragglers from
@@ -266,7 +271,8 @@ class AdaptationController {
   void UpdateSignals(Group& group, double estimated, double observed,
                      int state);
   bool ShouldEscalate(const Group& group) const;
-  void Escalate(const std::pair<std::string, int>& key, Group& group);
+  // Hands `key` to the refresh daemon; false when the daemon refuses.
+  bool Escalate(const std::pair<std::string, int>& key);
   void MaybePublish(const std::pair<std::string, int>& key, Group& group);
   static double DriftDistance(const Group& group);
 
@@ -296,6 +302,7 @@ class AdaptationController {
   std::atomic<uint64_t> updates_rejected_{0};
   std::atomic<uint64_t> adaptations_published_{0};
   std::atomic<uint64_t> escalations_{0};
+  std::atomic<uint64_t> escalations_refused_{0};
   std::atomic<uint64_t> lost_races_{0};
   std::atomic<uint64_t> lineage_resets_{0};
   std::atomic<uint64_t> stale_gen_discarded_{0};

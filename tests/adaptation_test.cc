@@ -277,6 +277,39 @@ TEST(AdaptationControllerTest, ErrorStallEscalatesToRefreshDaemon) {
   EXPECT_EQ(service.Stats().catalog_swaps, 2u);
 }
 
+// A refused escalation is no escalation: here the daemon refuses because
+// the key is not watched. The key keeps its group, signals and RLS
+// accumulators across drains, and asks again while its error stalls.
+TEST(AdaptationControllerTest, RefusedEscalationKeepsTheGroup) {
+  EstimationService service;
+  service.RegisterModel("a", test::PiecewiseLinearModel(kCls, {2.0}));
+  ModelRefreshDaemon daemon(&service);  // "a" is never watched
+
+  AdaptationConfig config = TestConfig();
+  config.stall_window = 8;
+  config.stall_error_threshold = 0.5;
+  config.min_updates_to_publish = 100000;  // never publish, only stall
+  AdaptationController controller(&service, &daemon, config);
+
+  Rng rng(29);
+  size_t reports = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      const double x = rng.Uniform(1.0, 10.0);
+      controller.Record(Report("a", x, 40.0 * x * x, 0.5));
+      ++reports;
+    }
+    controller.DrainOnce();
+    const AdaptationStats stats = controller.Stats();
+    EXPECT_EQ(stats.escalations, 0u);
+    EXPECT_GE(stats.escalations_refused, 1u);
+    const AdaptationKeyStatus status = controller.Status("a", kCls);
+    EXPECT_TRUE(status.seeded);
+    EXPECT_EQ(status.samples, reports);  // every report since the seed
+  }
+  EXPECT_EQ(daemon.Stats().refreshes_scheduled, 0u);
+}
+
 TEST(AdaptationControllerTest, StateDistributionDriftEscalates) {
   EstimationService service;
   service.RegisterModel("a", test::PiecewiseLinearModel(kCls, {2.0, 5.0}));

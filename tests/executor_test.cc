@@ -3,7 +3,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -253,6 +256,143 @@ TEST(ExecutorEmptyRangeTest, UnsatisfiableConditionsSelectNothing) {
           executor.ExecuteSelect(q, ChooseSelectPlan(db, q, PlannerRules{}));
       EXPECT_EQ(planned.result_rows, 0u);
     }
+  }
+}
+
+// The join count reads its key range from the two key columns' exact
+// statistics: a dense array indexed by key - lo when the common range is
+// narrower than the two tables' rows, an open-addressing table otherwise.
+// Each case below pins the count to the naive nested loop under every join
+// method, on tables of (key, tag = row % 4) with a non-clustered index on
+// the key so the index nested loop can run with either side outer.
+class JoinCountTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  static constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+
+  void AddKeyTable(const std::string& name, const std::vector<int64_t>& keys) {
+    Table t(name, Schema({{"key", 8}, {"tag", 8}}));
+    for (size_t i = 0; i < keys.size(); ++i) {
+      t.AddRow({keys[i], static_cast<int64_t>(i % 4)});
+    }
+    db_.AddTable(std::move(t));
+    db_.CreateIndex(name, 0, /*clustered=*/false);
+  }
+
+  static JoinQuery KeyJoin(const std::string& left, const std::string& right) {
+    JoinQuery q;
+    q.left_table = left;
+    q.right_table = right;
+    q.left_column = 0;
+    q.right_column = 0;
+    return q;
+  }
+
+  // The naive count, which every join method must reproduce.
+  size_t ExpectEveryMethodMatchesNaive(const JoinQuery& q) const {
+    const Executor executor(&db_);
+    const size_t naive = executor.NaiveJoinCount(q);
+    for (const JoinPlan plan : {JoinPlan{JoinMethod::kBlockNestedLoop, 0},
+                                JoinPlan{JoinMethod::kIndexNestedLoop, 0},
+                                JoinPlan{JoinMethod::kIndexNestedLoop, 1},
+                                JoinPlan{JoinMethod::kSortMerge, 0},
+                                JoinPlan{JoinMethod::kHashJoin, 0}}) {
+      EXPECT_EQ(executor.ExecuteJoin(q, plan).result_rows, naive)
+          << ToString(plan.method) << " outer side " << plan.outer_side;
+    }
+    return naive;
+  }
+
+  Database db_;
+};
+
+// Overlapping ranges [100, 160] and [130, 220]: width 30 against 350 rows.
+// Either side builds, as the predicates make it the smaller qualified one.
+TEST_F(JoinCountTest, DenseKeyRangeMatchesNaive) {
+  Rng rng(5);
+  std::vector<int64_t> left(200);
+  std::vector<int64_t> right(150);
+  for (int64_t& k : left) k = rng.UniformInt(100, 160);
+  for (int64_t& k : right) k = rng.UniformInt(130, 220);
+  AddKeyTable("L", left);
+  AddKeyTable("R", right);
+
+  JoinQuery q = KeyJoin("L", "R");
+  EXPECT_GT(ExpectEveryMethodMatchesNaive(q), 0u);  // right side builds
+  q.left_predicate.Add({1, CompareOp::kEq, 0, 0});
+  EXPECT_GT(ExpectEveryMethodMatchesNaive(q), 0u);  // left side builds
+  q.right_predicate.Add({1, CompareOp::kGe, 1, 0});
+  EXPECT_GT(ExpectEveryMethodMatchesNaive(q), 0u);
+  // Ranges that touch at one value: a width-0 array.
+  AddKeyTable("T", {160, 160, 161, 170, 200});
+  EXPECT_GT(ExpectEveryMethodMatchesNaive(KeyJoin("L", "T")), 0u);
+}
+
+// Keys at both ends of int64: hi - lo is 2^64 - 1, which only an unsigned
+// subtraction holds, so the count falls back to the open-addressing table.
+TEST_F(JoinCountTest, FullInt64RangeFallsBackToKeyCounts) {
+  AddKeyTable("L", {kMin, kMin, kMin + 1, -5, 0, 0, 7, kMax - 1, kMax, kMax});
+  AddKeyTable("R", {kMax, kMin, 7, 7, 0, kMin + 1, 3, kMax, kMax - 2, -5,
+                    kMin, 11});
+  JoinQuery q = KeyJoin("L", "R");
+  // kMin 2x2, kMin+1 1x1, -5 1x1, 0 2x1, 7 1x2, kMax 2x2.
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(q), 14u);
+  q.left_predicate.Add({1, CompareOp::kLe, 1, 0});
+  ExpectEveryMethodMatchesNaive(q);
+  q.right_predicate.Add({1, CompareOp::kEq, 2, 0});
+  ExpectEveryMethodMatchesNaive(q);
+  // One side near each end: the common range [-7, 0] is dense again.
+  AddKeyTable("N", {kMin, kMin + 3, -10, -7, -7, 0});
+  AddKeyTable("P", {-7, 0, 0, 5, kMax});
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(KeyJoin("N", "P")), 4u);
+}
+
+TEST_F(JoinCountTest, DisjointKeyRangesMatchNothing) {
+  AddKeyTable("L", {0, 5, 99, 42, 42});
+  AddKeyTable("R", {100, 1000, 1099, 100});
+  AddKeyTable("W", {kMin, -1});
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(KeyJoin("L", "R")), 0u);
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(KeyJoin("R", "L")), 0u);
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(KeyJoin("W", "R")), 0u);
+}
+
+// L spans below the common range [10, 20] and R above it. The build side's
+// out-of-range keys all land in the clamp slot, and the probe side's
+// out-of-range keys read that slot: a count there would add L's
+// [-100, -90] keys to every one of R's [300, 310] keys.
+TEST_F(JoinCountTest, KeysOutsideTheCommonRangeNeverCount) {
+  std::vector<int64_t> left;
+  std::vector<int64_t> right;
+  for (int64_t k = -100; k <= -90; ++k) left.insert(left.end(), 3, k);
+  for (int64_t k = 0; k <= 20; ++k) left.push_back(k);
+  for (int64_t k = 10; k <= 30; ++k) right.insert(right.end(), 2, k);
+  for (int64_t k = 300; k <= 310; ++k) right.insert(right.end(), 5, k);
+  AddKeyTable("L", left);
+  AddKeyTable("R", right);
+
+  JoinQuery q = KeyJoin("L", "R");
+  // L (54 rows) builds; keys 10..20 match twice each.
+  EXPECT_EQ(ExpectEveryMethodMatchesNaive(q), 22u);
+  // A predicate keeping a quarter of R makes R the build side.
+  q.right_predicate.Add({1, CompareOp::kEq, 3, 0});
+  ExpectEveryMethodMatchesNaive(q);
+}
+
+TEST_F(JoinCountTest, EmptyQualifiedSideMatchesNothing) {
+  AddKeyTable("L", {1, 2, 3, 3, 4});
+  AddKeyTable("R", {3, 3, 4, 5});
+  AddKeyTable("V", {kMin, 3, 3, kMax});
+  AddKeyTable("W", {kMin, 3, kMax});
+  // Dense, then the wide fallback; each matches without its predicates.
+  for (const auto& [left, right] : {std::pair{"L", "R"}, std::pair{"V", "W"}}) {
+    SCOPED_TRACE(left);
+    JoinQuery q = KeyJoin(left, right);
+    EXPECT_GT(ExpectEveryMethodMatchesNaive(q), 0u);
+    q.left_predicate.Add({1, CompareOp::kGt, 3, 0});
+    EXPECT_EQ(ExpectEveryMethodMatchesNaive(q), 0u);
+    q = KeyJoin(left, right);
+    q.right_predicate.Add({1, CompareOp::kLt, 0, 0});
+    EXPECT_EQ(ExpectEveryMethodMatchesNaive(q), 0u);
   }
 }
 

@@ -1,11 +1,150 @@
 #include "cluster/hierarchical.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 
 namespace mscm::cluster {
 namespace {
+
+// The quadratic reference: scan every adjacent pair for the smallest gap
+// (the leftmost on ties), merge it and erase the right cluster.
+std::vector<Cluster> ReferenceSingletons(const std::vector<double>& xs) {
+  std::vector<size_t> order(xs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&xs](size_t a, size_t b) { return xs[a] < xs[b]; });
+  std::vector<Cluster> clusters;
+  for (size_t idx : order) {
+    clusters.push_back(Cluster{xs[idx], xs[idx], xs[idx], 1, {idx}});
+  }
+  return clusters;
+}
+
+void ReferenceMerge(std::vector<Cluster>& clusters, size_t i) {
+  Cluster& dst = clusters[i];
+  const Cluster& src = clusters[i + 1];
+  const double total = static_cast<double>(dst.count + src.count);
+  dst.centroid = (dst.centroid * static_cast<double>(dst.count) +
+                  src.centroid * static_cast<double>(src.count)) /
+                 total;
+  dst.min = std::min(dst.min, src.min);
+  dst.max = std::max(dst.max, src.max);
+  dst.count += src.count;
+  dst.members.insert(dst.members.end(), src.members.begin(),
+                     src.members.end());
+  clusters.erase(clusters.begin() + static_cast<long>(i) + 1);
+}
+
+size_t ReferenceClosestPair(const std::vector<Cluster>& clusters,
+                            double* distance) {
+  size_t best = std::numeric_limits<size_t>::max();
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i + 1 < clusters.size(); ++i) {
+    const double d = clusters[i + 1].centroid - clusters[i].centroid;
+    if (d < best_dist) {
+      best_dist = d;
+      best = i;
+    }
+  }
+  *distance = best_dist;
+  return best;
+}
+
+std::vector<Cluster> ReferenceCluster1D(const std::vector<double>& xs,
+                                        size_t k) {
+  std::vector<Cluster> clusters = ReferenceSingletons(xs);
+  double dist = 0.0;
+  while (clusters.size() > k) {
+    ReferenceMerge(clusters, ReferenceClosestPair(clusters, &dist));
+  }
+  return clusters;
+}
+
+std::vector<Cluster> ReferenceByDistance(const std::vector<double>& xs,
+                                         double max_merge_distance) {
+  std::vector<Cluster> clusters = ReferenceSingletons(xs);
+  while (clusters.size() > 1) {
+    double dist = 0.0;
+    const size_t i = ReferenceClosestPair(clusters, &dist);
+    if (dist > max_merge_distance) break;
+    ReferenceMerge(clusters, i);
+  }
+  return clusters;
+}
+
+void ExpectBitIdentical(const std::vector<Cluster>& got,
+                        const std::vector<Cluster>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < got.size(); ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[c].centroid),
+              std::bit_cast<uint64_t>(want[c].centroid));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[c].min),
+              std::bit_cast<uint64_t>(want[c].min));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[c].max),
+              std::bit_cast<uint64_t>(want[c].max));
+    EXPECT_EQ(got[c].count, want[c].count);
+    EXPECT_EQ(got[c].members, want[c].members);
+  }
+}
+
+// Random inputs of four shapes: continuous values; a few dyadic values, so
+// duplicates and exactly equal gaps abound; an arithmetic progression,
+// where every initial gap ties; and a gaussian mixture like the probing
+// costs ICMA clusters.
+std::vector<double> RandomInput(Rng& rng, int shape, size_t n) {
+  std::vector<double> xs(n);
+  for (size_t i = 0; i < n; ++i) {
+    switch (shape) {
+      case 0:
+        xs[i] = rng.Uniform(0.0, 100.0);
+        break;
+      case 1:
+        xs[i] = 0.25 * static_cast<double>(rng.UniformInt(0, 12));
+        break;
+      case 2:
+        xs[i] = 0.5 * static_cast<double>(i);
+        break;
+      default:
+        xs[i] = rng.Gaussian(20.0 * static_cast<double>(rng.UniformInt(0, 3)),
+                             2.0);
+        break;
+    }
+  }
+  if (shape == 2) rng.Shuffle(xs);
+  return xs;
+}
+
+TEST(HierarchicalTest, HeapMergeMatchesPairScanBitForBit) {
+  Rng rng(29);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int shape = trial % 4;
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 120));
+    const std::vector<double> xs = RandomInput(rng, shape, n);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " shape " << shape
+                                    << " n " << n);
+    for (size_t k : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, n / 2, n,
+                     n + 1}) {
+      if (k == 0) continue;
+      SCOPED_TRACE(testing::Message() << "k " << k);
+      ExpectBitIdentical(AgglomerativeCluster1D(xs, k),
+                         ReferenceCluster1D(xs, k));
+    }
+    for (double d : {0.0, 0.25, 0.5, 1.0, 3.0, 1e9}) {
+      SCOPED_TRACE(testing::Message() << "distance " << d);
+      ExpectBitIdentical(AgglomerativeClusterByDistance(xs, d),
+                         ReferenceByDistance(xs, d));
+    }
+  }
+}
 
 TEST(HierarchicalTest, SingletonInput) {
   const auto clusters = AgglomerativeCluster1D({3.5}, 1);

@@ -477,6 +477,22 @@ TEST(NetServerFeedbackTest, StalledFeedbackRederivesOverTheWire) {
   EXPECT_FALSE(after.stale_model);
   EXPECT_EQ(after.model_generation, 0u);
   EXPECT_NE(after.estimate_seconds, before.estimate_seconds);
+
+  // 200 more reports at the same 3x cost stall the re-derived model too,
+  // inside the cooldown its refresh started: the daemon refuses those
+  // escalations, and a refusal is not counted as one.
+  for (int i = 0; i < 200; ++i) {
+    bool accepted = false;
+    const RpcStatus status = client.ReportActual(report, &accepted);
+    ASSERT_TRUE(status.ok()) << status.message;
+    EXPECT_TRUE(accepted);
+  }
+  served.adaptation()->Stop();  // joins the drain thread, drains the rest
+  const runtime::AdaptationStats adaptation = served.adaptation()->Stats();
+  EXPECT_EQ(adaptation.escalations,
+            served.daemon()->Stats().refreshes_scheduled)
+      << adaptation.ToString();
+  EXPECT_GT(adaptation.escalations_refused, 0u) << adaptation.ToString();
 }
 
 TEST_F(NetServerTest, BatchResponsesCarryGenerationOverWire) {
